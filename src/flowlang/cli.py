@@ -266,9 +266,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _score_all(tree: Pst, seqs, vocab: Vocabulary) -> list[tuple[str, Score]]:
+    text_of = vocab.tokens()
     out = []
     for i, seq in enumerate(seqs):
-        texts = [vocab.token_of(t) for t in seq.token_ids]
+        texts = [text_of[t] for t in seq.token_ids]
         out.append((_seq_id(i), score_sequence(tree, texts)))
     return out
 
@@ -319,6 +320,16 @@ def _parse_scores_csv(lines: list[str]) -> dict[str, Score]:
         except ValueError:
             raise FormatError(f"line {lineno}: bad numeric field") from None
         zero = zero_text == "true"
+        if math.isnan(likelihood) or math.isnan(loss):
+            raise FormatError(f"line {lineno}: NaN field")
+        if not 0.0 <= likelihood <= 1.0:
+            raise FormatError(f"line {lineno}: likelihood {likelihood!r} outside [0, 1]")
+        if zero != (likelihood == 0.0):
+            raise FormatError(
+                f"line {lineno}: zero_likelihood {zero_text} disagrees with "
+                f"likelihood {likelihood!r}")
+        if loss < 0.0 or (loss == math.inf and not zero):
+            raise FormatError(f"line {lineno}: bad per_symbol_log_loss {loss!r}")
         log2_lik = -math.inf if likelihood == 0.0 else math.log2(likelihood)
         rows[seq_id] = Score(
             likelihood=likelihood, log2_likelihood=log2_lik,

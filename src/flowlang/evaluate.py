@@ -9,7 +9,7 @@ statistic with ties counted half.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 

@@ -11,7 +11,7 @@ import enum
 import ipaddress
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from .errors import FormatError

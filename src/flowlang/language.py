@@ -8,7 +8,7 @@ Sequences plus a vocabulary round-trip through a plain text format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence as Seq, TextIO
 
 from .errors import FormatError

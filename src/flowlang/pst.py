@@ -144,6 +144,9 @@ class PstNode:
     context: tuple[int, ...]
     dist: dict[int, float]
     children: dict[int, "PstNode"] = field(default_factory=dict)
+    # log2 of the smoothed row, indexed by symbol (-inf for a zero
+    # probability); filled on the node's first use by score_sequence.
+    log2_row: list[float] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -305,14 +308,27 @@ def _zero_score(length: int) -> Score:
     )
 
 
+def _log2_row(pst: Pst, node: PstNode) -> list[float]:
+    """log2 of pst.smoothed(node, sym) for every symbol, cached on node."""
+    eps = pst.params.epsilon
+    row = [math.log2(eps) if eps > 0.0 else -math.inf] * len(pst.vocab)
+    for sym in node.dist:
+        p = pst.smoothed(node, sym)
+        row[sym] = math.log2(p) if p > 0.0 else -math.inf
+    node.log2_row = row
+    return row
+
+
 def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
     """Likelihood of a token sequence under the tree.
 
     Each position is predicted from the longest stored suffix of the
-    preceding tokens. An out-of-vocabulary token, or any zero smoothed
-    probability, makes the whole sequence zero-likelihood. Accumulation
-    happens in log2 space; the reported likelihood is clamped to the
-    smallest positive float when exponentiation underflows.
+    preceding tokens. No stored context is longer than params.depth, so
+    the walk looks back at most that many symbols and scoring is linear
+    in the sequence length. An out-of-vocabulary token, or any zero
+    smoothed probability, makes the whole sequence zero-likelihood.
+    Accumulation happens in log2 space; the reported likelihood is
+    clamped to the smallest positive float when exponentiation underflows.
     """
     texts = list(tokens)
     n = len(texts)
@@ -326,13 +342,20 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
             return _zero_score(n)
         ids.append(i)
 
+    root = pst.root
+    depth = pst.params.depth
     log2_lik = 0.0
-    for i in range(n):
-        node = lookup_context(pst, ids[:i])
-        p = pst.smoothed(node, ids[i])
-        if p <= 0.0:
+    for i, sym in enumerate(ids):
+        node = root
+        for j in range(i - 1, i - depth - 1 if i > depth else -1, -1):
+            child = node.children.get(ids[j])
+            if child is None:
+                break
+            node = child
+        lp = (node.log2_row or _log2_row(pst, node))[sym]
+        if lp == -math.inf:
             return _zero_score(n)
-        log2_lik += math.log2(p)
+        log2_lik += lp
 
     likelihood = 2.0 ** log2_lik
     if likelihood == 0.0:

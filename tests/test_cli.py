@@ -7,11 +7,15 @@ subprocess test confirms the module entry point is wired up.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flowlang.cli
 from flowlang.cli import SCORES_HEADER, main
 from flowlang.flows import Label
 from flowlang.language import read_sequences
@@ -257,6 +261,24 @@ class TestScore:
             if line.startswith("zero "):
                 assert line.split()[1] in zero_ids
 
+    def test_one_score_sequence_call_per_sequence(self, pipeline, tmp_path,
+                                                  capsys, monkeypatch):
+        # The benchmark's tracer times scoring by wrapping this name.
+        lengths = []
+        real = flowlang.cli.score_sequence
+
+        def counting(tree, tokens):
+            lengths.append(len(tokens))
+            return real(tree, tokens)
+
+        monkeypatch.setattr(flowlang.cli, "score_sequence", counting)
+        code, _, _ = run(capsys, "score", "--model", str(pipeline / "model.json"),
+                         "--in", str(pipeline / "corpus.txt"),
+                         "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        seqs, _ = read_corpus(pipeline / "corpus.txt")
+        assert lengths == [len(s.token_ids) for s in seqs]
+
     def test_bad_limit(self, pipeline, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "score", "--model", str(pipeline / "model.json"),
@@ -342,6 +364,69 @@ class TestEval:
                          "--sequences", str(pipeline / "corpus.txt"),
                          "--out-dir", str(tmp_path / "r"))
         assert code == 3
+
+
+def _with_row(pipeline, path, row):
+    """Copy of the pipeline's scores CSV with its second data row replaced."""
+    lines = (pipeline / "scores.csv").read_text().splitlines()
+    lines[2] = f"{lines[2].split(',')[0]},{row}"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestEvalRejectsBadRows:
+    @pytest.mark.parametrize("row", [
+        "nan,1.5,false",
+        "0.25,nan,false",
+        "1.5,0.1,false",
+        "-0.25,0.1,false",
+        "inf,0.1,false",
+        "0.0,inf,false",
+        "0.25,2.0,true",
+        "0.25,inf,false",
+        "0.25,-0.5,false",
+    ], ids=["nan-likelihood", "nan-loss", "likelihood-above-one",
+            "negative-likelihood", "infinite-likelihood", "zero-flagged-false",
+            "nonzero-flagged-true", "infinite-loss-on-nonzero", "negative-loss"])
+    def test_format_error(self, pipeline, tmp_path, capsys, row):
+        scores = _with_row(pipeline, tmp_path / "s.csv", row)
+        code, _, stderr = run(capsys, "eval", "--scores", str(scores),
+                              "--sequences", str(pipeline / "corpus.txt"),
+                              "--out-dir", str(tmp_path / "r"))
+        assert code == 3
+        assert "line 3" in stderr
+
+    def test_well_formed_zero_row_accepted(self, pipeline, tmp_path, capsys):
+        scores = _with_row(pipeline, tmp_path / "s.csv", "0.0,inf,true")
+        code, _, _ = run(capsys, "eval", "--scores", str(scores),
+                         "--sequences", str(pipeline / "corpus.txt"),
+                         "--out-dir", str(tmp_path / "r"))
+        assert code == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        likelihood=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                             st.sampled_from([0.0, 1.0, 0.5, 5e-324])),
+        loss=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([0.0, math.inf, 1.25])),
+        zero=st.booleans(),
+    )
+    def test_exit_code_iff_row_valid(self, pipeline, tmp_path_factory,
+                                     likelihood, loss, zero):
+        work = tmp_path_factory.mktemp("rows")
+        flag = "true" if zero else "false"
+        scores = _with_row(pipeline, work / "s.csv",
+                           f"{likelihood!r},{loss!r},{flag}")
+        valid = (
+            0.0 <= likelihood <= 1.0
+            and zero == (likelihood == 0.0)
+            and loss >= 0.0
+            and (zero or loss != math.inf)
+        )
+        code = main(["eval", "--scores", str(scores),
+                     "--sequences", str(pipeline / "corpus.txt"),
+                     "--out-dir", str(work / "r")])
+        assert code == (0 if valid else 3)
 
 
 class TestWords:

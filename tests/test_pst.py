@@ -26,6 +26,7 @@ from flowlang.pst import (
     save_model,
     score_sequence,
 )
+from flowlang.synth import GenConfig, demo_spec_pair, generate_corpus
 
 A, B = 0, 1
 
@@ -341,7 +342,7 @@ class TestScore:
 
     @settings(max_examples=100, deadline=None)
     @given(corpus_strategy, params_strategy,
-           st.lists(st.integers(0, 3), min_size=0, max_size=15))
+           st.lists(st.integers(0, 3), min_size=0, max_size=64))
     def test_matches_full_scan_oracle(self, corpus, params, probe):
         m, seqs = corpus
         if params.epsilon >= 1.0 / m:
@@ -361,6 +362,26 @@ class TestScore:
                                 rel_tol=1e-9, abs_tol=1e-12)
             assert math.isclose(score.likelihood, brute_lik,
                                 rel_tol=1e-9, abs_tol=0.0)
+
+    def test_bit_identical_to_full_history_lookup(self):
+        # Reference: the whole-history lookup at every position, summed in
+        # the same order; the bounded walk must reproduce it exactly.
+        background, anomaly = demo_spec_pair(4)
+        corpus = generate_corpus(background, anomaly, GenConfig(
+            n_sequences=300, length_min=30, length_max=70,
+            anomaly_fraction=0.05, seed=5))
+        pst = train([s for s, _ in corpus], PstParams(depth=14, epsilon=0.001), 4)
+        assert max(len(node.context) for node in pst.iter_nodes()) == 14
+        (ids, _), = generate_corpus(background, anomaly, GenConfig(
+            n_sequences=1, length_min=5000, length_max=5000,
+            anomaly_fraction=0.0, seed=9))
+        log2_ref = 0.0
+        for i in range(len(ids)):
+            log2_ref += math.log2(pst.smoothed(lookup_context(pst, ids[:i]), ids[i]))
+        score = score_sequence(pst, texts(ids))
+        assert score.log2_likelihood == log2_ref
+        assert score.per_symbol_log_loss == -log2_ref / len(ids)
+        assert score.likelihood == max(2.0 ** log2_ref, 5e-324)
 
     @settings(max_examples=100, deadline=None)
     @given(corpus_strategy, params_strategy, st.integers(0, 9))
