@@ -2,25 +2,26 @@
 
 Every stage reads and writes plain files so the pipeline is resumable
 and each step is testable on its own. Diagnostics go to stderr; exit
-codes: 0 success, 2 usage error, 3 format error, 4 data error.
+codes: 0 success, 1 stdout closed early, 2 usage error, 3 format error,
+4 data error.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import DataError, FormatError
-from .evaluate import EvalReport, evaluate
+from .evaluate import RANKINGS, EvalReport, evaluate
 from .flows import CSV_HEADER, Label, parse_labeled_csv, parse_zeek_conn
 from .language import (
+    SCHEME_KINDS,
     SessionPolicy,
     TokenScheme,
     Vocabulary,
@@ -29,7 +30,6 @@ from .language import (
     write_sequences,
 )
 from .pst import (
-    Pst,
     PstParams,
     Score,
     build_tree,
@@ -43,35 +43,8 @@ from .synth import GenConfig, corpus_to_sequences, demo_spec_pair, generate_corp
 
 SCORES_HEADER = "id,likelihood,per_symbol_log_loss,zero_likelihood"
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; domain dataclasses carry the validation."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    model: str | None = None
-    scores: str | None = None
-    sequences: str | None = None
-    out_dir: str | None = None
-    wordlist: str | None = None
-    scheme: TokenScheme = TokenScheme()
-    policy: SessionPolicy = SessionPolicy()
-    params: PstParams = PstParams()
-    limit: float = 1e-6
-    rank: str = "logloss"
-    zero_policy: str = "exclude_zero"
-    bins: int = 20
-    precision_at: tuple[int, ...] = (10, 50, 100)
-    seed: int = 0
-    min_length: int = 1
-    n_sequences: int = 2000
-    length_min: int = 30
-    length_max: int = 70
-    anomaly_fraction: float = 0.05
-    alphabet: int = 8
-    no_timestamp: bool = False
+# --zero-policy choice -> evaluate's policy name.
+_ZERO_POLICIES = {"exclude": "exclude_zero", "most-anomalous": "zero_most_anomalous"}
 
 
 def _now_utc() -> str:
@@ -125,6 +98,11 @@ def _add_pst_flags(sp: argparse.ArgumentParser) -> None:
                     help="uniform smoothing floor")
 
 
+def _pst_params(args: argparse.Namespace) -> PstParams:
+    return PstParams(depth=args.depth, p_min=args.p_min, threshold=args.threshold,
+                     tau=args.tau, epsilon=args.epsilon)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowlang",
@@ -137,20 +115,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="input", required=True,
                     help="Zeek conn log or labeled CSV (auto-detected)")
     sp.add_argument("--out", dest="output", required=True)
-    sp.add_argument("--scheme", choices=("proto-bytes", "proto-density"),
-                    default="proto-bytes")
+    sp.add_argument("--scheme", choices=SCHEME_KINDS, default="proto-bytes")
     sp.add_argument("--bucket-width", type=int, default=10)
     sp.add_argument("--session", type=_session_policy, default=SessionPolicy(),
                     metavar="{hour,day,week,gap:SECONDS}")
     sp.add_argument("--min-length", type=int, default=1,
                     help="drop sequences with fewer flows")
     sp.add_argument("--no-timestamp", action="store_true")
+    sp.set_defaults(run=cmd_prepare)
 
     sp = sub.add_parser("train", help="sequences file -> model file")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--out", dest="output", required=True)
     _add_pst_flags(sp)
     sp.add_argument("--no-timestamp", action="store_true")
+    sp.set_defaults(run=cmd_train)
 
     sp = sub.add_parser("score", help="model + sequences -> scores CSV")
     sp.add_argument("--model", required=True)
@@ -158,17 +137,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", dest="output", required=True)
     sp.add_argument("--limit", type=float, default=1e-6,
                     help="flag sequences with 0 < likelihood < limit")
+    sp.set_defaults(run=cmd_score)
 
     sp = sub.add_parser("eval", help="scores + sequences -> report and CSVs")
     sp.add_argument("--scores", required=True)
     sp.add_argument("--sequences", required=True)
     sp.add_argument("--out-dir", dest="out_dir", required=True)
-    sp.add_argument("--rank", choices=("logloss", "likelihood"), default="logloss")
-    sp.add_argument("--zero-policy", choices=("exclude", "most-anomalous"),
-                    default="exclude")
+    sp.add_argument("--rank", choices=RANKINGS, default="logloss")
+    sp.add_argument("--zero-policy", choices=tuple(_ZERO_POLICIES), default="exclude")
     sp.add_argument("--bins", type=int, default=20)
     sp.add_argument("--precision-at", type=_precision_list, default=(10, 50, 100),
                     metavar="N[,N...]")
+    sp.set_defaults(run=cmd_eval)
 
     sp = sub.add_parser("synth", help="built-in Markov pair -> sequences file")
     sp.add_argument("--out", dest="output", required=True)
@@ -179,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alphabet", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--no-timestamp", action="store_true")
+    sp.set_defaults(run=cmd_synth)
 
     sp = sub.add_parser("words", help="character-level demo on a wordlist")
     sp.add_argument("--wordlist", help="one lowercase word per line "
@@ -186,30 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", dest="output",
                     help="write the listing here instead of stdout")
     _add_pst_flags(sp)
+    sp.set_defaults(run=cmd_words)
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields: dict = {"command": args.command}
-    for name in ("input", "output", "model", "scores", "sequences", "out_dir",
-                 "wordlist", "limit", "bins", "precision_at", "seed",
-                 "min_length", "n_sequences", "length_min", "length_max",
-                 "anomaly_fraction", "alphabet", "no_timestamp", "rank"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if hasattr(args, "zero_policy"):
-        fields["zero_policy"] = (
-            "exclude_zero" if args.zero_policy == "exclude" else "zero_most_anomalous")
-    if hasattr(args, "scheme"):
-        fields["scheme"] = TokenScheme(kind=args.scheme, bucket_width=args.bucket_width)
-    if hasattr(args, "session"):
-        fields["policy"] = args.session
-    if hasattr(args, "depth"):
-        fields["params"] = PstParams(
-            depth=args.depth, p_min=args.p_min, threshold=args.threshold,
-            tau=args.tau, epsilon=args.epsilon)
-    return RunConfig(**fields)
 
 
 def _sniff_format(lines: list[str]) -> str:
@@ -226,17 +186,18 @@ def _sniff_format(lines: list[str]) -> str:
     raise FormatError("empty input")
 
 
-def cmd_prepare(cfg: RunConfig) -> int:
-    lines = _read_lines(cfg.input, lossy=True)
+def cmd_prepare(args: argparse.Namespace) -> int:
+    scheme = TokenScheme(kind=args.scheme, bucket_width=args.bucket_width)
+    lines = _read_lines(args.input, lossy=True)
     kind = _sniff_format(lines)
     if kind == "zeek":
         records, stats = parse_zeek_conn(lines)
     else:
         records, stats = parse_labeled_csv(lines)
     seqs, vocab = sessionize(
-        records, cfg.scheme, cfg.policy, min_length=cfg.min_length)
-    comment = None if cfg.no_timestamp else f"generated {_now_utc()}"
-    with open(cfg.output, "w", encoding="utf-8") as fh:
+        records, scheme, args.session, min_length=args.min_length)
+    comment = None if args.no_timestamp else f"generated {_now_utc()}"
+    with open(args.output, "w", encoding="utf-8") as fh:
         write_sequences(seqs, vocab, fh, comment=comment)
     by_label = {label: 0 for label in Label}
     for s in seqs:
@@ -250,47 +211,37 @@ def cmd_prepare(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    seqs, vocab = read_sequences(_read_lines(cfg.input))
-    counts = count_contexts((s.token_ids for s in seqs), cfg.params.depth)
-    tree = build_tree(counts, cfg.params, vocab)
-    created = None if cfg.no_timestamp else _now_utc()
-    with open(cfg.output, "w", encoding="utf-8") as fh:
+def cmd_train(args: argparse.Namespace) -> int:
+    params = _pst_params(args)
+    seqs, vocab = read_sequences(_read_lines(args.input))
+    counts = count_contexts((s.token_ids for s in seqs), params.depth)
+    tree = build_tree(counts, params, vocab)
+    created = None if args.no_timestamp else _now_utc()
+    with open(args.output, "w", encoding="utf-8") as fh:
         save_model(tree, fh, created=created)
     print(f"nodes: {tree.node_count}")
-    print(f"depth: {cfg.params.depth}")
+    print(f"depth: {params.depth}")
     print(f"vocabulary: {len(vocab)} tokens")
     print(f"trained on {tree.n_train_sequences} sequences, "
           f"{tree.n_train_tokens} tokens")
     return 0
 
 
-def _score_all(tree: Pst, seqs, vocab: Vocabulary) -> list[tuple[str, Score]]:
-    text_of = vocab.tokens()
-    out = []
-    for i, seq in enumerate(seqs):
-        texts = [text_of[t] for t in seq.token_ids]
-        out.append((_seq_id(i), score_sequence(tree, texts)))
-    return out
-
-
-def _format_score_row(seq_id: str, s: Score) -> str:
-    flag = "true" if s.zero_likelihood else "false"
-    return f"{seq_id},{s.likelihood!r},{s.per_symbol_log_loss!r},{flag}\n"
-
-
-def cmd_score(cfg: RunConfig) -> int:
-    with open(cfg.model, encoding="utf-8") as fh:
+def cmd_score(args: argparse.Namespace) -> int:
+    with open(args.model, encoding="utf-8") as fh:
         tree = load_model(fh)
-    seqs, vocab = read_sequences(_read_lines(cfg.input))
-    scored = _score_all(tree, seqs, vocab)
-    flagged, zeros = flag_anomalies(scored, cfg.limit)
-    with open(cfg.output, "w", encoding="utf-8") as fh:
+    seqs, vocab = read_sequences(_read_lines(args.input))
+    text_of = vocab.tokens()
+    scored = [(_seq_id(i), score_sequence(tree, [text_of[t] for t in seq.token_ids]))
+              for i, seq in enumerate(seqs)]
+    flagged, zeros = flag_anomalies(scored, args.limit)
+    with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(SCORES_HEADER + "\n")
         for seq_id, s in scored:
-            fh.write(_format_score_row(seq_id, s))
+            flag = "true" if s.zero_likelihood else "false"
+            fh.write(f"{seq_id},{s.likelihood!r},{s.per_symbol_log_loss!r},{flag}\n")
     print(f"scored {len(scored)} sequences: {len(flagged)} flagged below "
-          f"{cfg.limit!r}, {len(zeros)} zero-likelihood")
+          f"{args.limit!r}, {len(zeros)} zero-likelihood")
     for seq_id in flagged:
         print(f"flag {seq_id}")
     for seq_id in zeros:
@@ -355,9 +306,9 @@ def _report_json(report: EvalReport) -> dict:
     }
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    seqs, _ = read_sequences(_read_lines(cfg.sequences))
-    rows = _parse_scores_csv(_read_lines(cfg.scores))
+def cmd_eval(args: argparse.Namespace) -> int:
+    seqs, _ = read_sequences(_read_lines(args.sequences))
+    rows = _parse_scores_csv(_read_lines(args.scores))
     if len(rows) != len(seqs):
         raise DataError(
             f"scores file has {len(rows)} rows for {len(seqs)} sequences")
@@ -370,10 +321,10 @@ def cmd_eval(cfg: RunConfig) -> int:
         triples.append((seq_id, score, seq.label))
 
     report = evaluate(
-        triples, policy=cfg.zero_policy, rank=cfg.rank,
-        n_bins=cfg.bins, precision_ns=cfg.precision_at)
+        triples, policy=_ZERO_POLICIES[args.zero_policy], rank=args.rank,
+        n_bins=args.bins, precision_ns=args.precision_at)
 
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(_report_json(report), fh, sort_keys=True, indent=1)
@@ -398,26 +349,26 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    background, anomaly = demo_spec_pair(cfg.alphabet)
+def cmd_synth(args: argparse.Namespace) -> int:
+    background, anomaly = demo_spec_pair(args.alphabet)
     gen = GenConfig(
-        n_sequences=cfg.n_sequences, length_min=cfg.length_min,
-        length_max=cfg.length_max, anomaly_fraction=cfg.anomaly_fraction,
-        seed=cfg.seed)
+        n_sequences=args.n_sequences, length_min=args.length_min,
+        length_max=args.length_max, anomaly_fraction=args.anomaly_fraction,
+        seed=args.seed)
     corpus = generate_corpus(background, anomaly, gen)
-    seqs, vocab = corpus_to_sequences(corpus, cfg.alphabet)
-    comment = None if cfg.no_timestamp else f"generated {_now_utc()}"
-    with open(cfg.output, "w", encoding="utf-8") as fh:
+    seqs, vocab = corpus_to_sequences(corpus, args.alphabet)
+    comment = None if args.no_timestamp else f"generated {_now_utc()}"
+    with open(args.output, "w", encoding="utf-8") as fh:
         write_sequences(seqs, vocab, fh, comment=comment)
     n_attack = sum(1 for s in seqs if s.label is Label.ATTACK)
     print(f"wrote {len(seqs)} sequences ({n_attack} attack, "
-          f"{len(seqs) - n_attack} normal), alphabet {cfg.alphabet}")
+          f"{len(seqs) - n_attack} normal), alphabet {args.alphabet}")
     return 0
 
 
-def _load_wordlist(cfg: RunConfig) -> list[str]:
-    if cfg.wordlist is not None:
-        lines = _read_lines(cfg.wordlist)
+def _load_wordlist(path: str | None) -> list[str]:
+    if path is not None:
+        lines = _read_lines(path)
     else:
         data = resources.files("flowlang").joinpath("data/words.txt").read_text("utf-8")
         lines = data.splitlines()
@@ -434,12 +385,13 @@ def _load_wordlist(cfg: RunConfig) -> list[str]:
     return words
 
 
-def cmd_words(cfg: RunConfig) -> int:
-    words = _load_wordlist(cfg)
+def cmd_words(args: argparse.Namespace) -> int:
+    params = _pst_params(args)
+    words = _load_wordlist(args.wordlist)
     vocab = Vocabulary()
     id_seqs = [tuple(vocab.add(ch) for ch in word) for word in words]
-    counts = count_contexts(id_seqs, cfg.params.depth)
-    tree = build_tree(counts, cfg.params, vocab)
+    counts = count_contexts(id_seqs, params.depth)
+    tree = build_tree(counts, params, vocab)
     scored = sorted(
         ((word, score_sequence(tree, list(word))) for word in words),
         key=lambda pair: (pair[1].per_symbol_log_loss, pair[0]),
@@ -447,23 +399,14 @@ def cmd_words(cfg: RunConfig) -> int:
     listing = "".join(
         f"{word}\t{s.per_symbol_log_loss!r}\t{s.likelihood!r}\n"
         for word, s in scored)
-    if cfg.output is not None:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output is not None:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(listing)
         print(f"scored {len(words)} words against a {tree.node_count}-node tree")
     else:
         sys.stdout.write(listing)
     return 0
 
-
-_COMMANDS = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "score": cmd_score,
-    "eval": cmd_eval,
-    "synth": cmd_synth,
-    "words": cmd_words,
-}
 
 _INPUT_FIELDS = ("input", "model", "scores", "sequences", "wordlist")
 
@@ -472,13 +415,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
         for name in _INPUT_FIELDS:
-            path = getattr(cfg, name)
+            path = getattr(args, name, None)
             if path is not None and not Path(path).is_file():
                 print(f"error: input file not found: {path}", file=sys.stderr)
                 return 2
-        return _COMMANDS[cfg.command](cfg)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away; files written are complete. Point
+        # stdout at devnull so the interpreter's exit flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 3

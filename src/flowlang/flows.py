@@ -84,10 +84,15 @@ class FlowRecord:
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise ValueError(f"bad duration: {self.duration!r}")
         for name in ("src_ip", "dst_ip"):
+            text = getattr(self, name)
             try:
-                ipaddress.ip_address(getattr(self, name))
+                addr = ipaddress.ip_address(text)
             except ValueError as exc:
-                raise ValueError(f"invalid {name}: {getattr(self, name)!r}") from exc
+                raise ValueError(f"invalid {name}: {text!r}") from exc
+            # One IPv6 host has many spellings; keep the canonical one so
+            # it forms one endpoint. Valid IPv4 text is already canonical.
+            if addr.version == 6:
+                object.__setattr__(self, name, str(addr))
 
 
 def total_bytes(flow: FlowRecord) -> int:

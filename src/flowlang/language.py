@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence as Seq, TextIO
+from typing import Iterable, TextIO
 
 from .errors import FormatError
 from .flows import FlowRecord, Label, total_bytes, total_pkts

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence as Seq, TextIO
 
-from .errors import CorruptModelError, FormatError, ModelVersionError
+from .errors import CorruptModelError, ModelVersionError
 from .language import Vocabulary
 
 MODEL_VERSION = 1
@@ -159,13 +159,7 @@ class Pst:
 
     @property
     def node_count(self) -> int:
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            total += 1
-            stack.extend(node.children.values())
-        return total
+        return sum(1 for _ in self.iter_nodes())
 
     def iter_nodes(self) -> Iterable[PstNode]:
         stack = [self.root]
@@ -195,6 +189,13 @@ def _conditional(follows: dict[tuple[int, ...], dict[int, int]],
     return {sym: c / total for sym, c in d.items()}
 
 
+def _check_epsilon(epsilon: float, m: int) -> None:
+    """Raise ValueError unless the epsilon floor leaves the raw row some
+    mass over an m-token vocabulary, i.e. epsilon < 1/m."""
+    if epsilon > 0.0 and (m == 0 or epsilon >= 1.0 / m):
+        raise ValueError(f"epsilon {epsilon} must be < 1/{m} for this vocabulary")
+
+
 def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> Pst:
     """Construct a PST from count tables.
 
@@ -207,9 +208,7 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     (marginal) distribution.
     """
     m = len(vocab)
-    if params.epsilon > 0.0 and (m == 0 or params.epsilon >= 1.0 / m):
-        raise ValueError(
-            f"epsilon {params.epsilon} must be < 1/{m} for this vocabulary")
+    _check_epsilon(params.epsilon, m)
     if counts.max_len < params.depth:
         raise ValueError(
             f"counts cover contexts up to {counts.max_len} symbols, need {params.depth}")
@@ -428,6 +427,14 @@ def _require(cond: bool, message: str) -> None:
         raise CorruptModelError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_model(source: TextIO) -> Pst:
     """Parse and validate a model document written by save_model."""
     try:
@@ -437,23 +444,10 @@ def load_model(source: TextIO) -> Pst:
 
     _require(isinstance(doc, dict), "model document is not an object")
     version = doc.get("version")
-    _require(isinstance(version, int), "missing or non-integer version field")
+    _require(_is_int(version), "missing or non-integer version field")
     if version != MODEL_VERSION:
         raise ModelVersionError(
             f"model version {version} not supported (expected {MODEL_VERSION})")
-
-    raw_params = doc.get("params")
-    _require(isinstance(raw_params, dict), "missing params object")
-    try:
-        params = PstParams(
-            depth=int(raw_params["depth"]),
-            p_min=float(raw_params["p_min"]),
-            threshold=float(raw_params["threshold"]),
-            tau=float(raw_params["tau"]),
-            epsilon=float(raw_params["epsilon"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptModelError(f"bad params: {exc}") from None
 
     raw_vocab = doc.get("vocab")
     _require(isinstance(raw_vocab, list), "missing vocab list")
@@ -465,13 +459,26 @@ def load_model(source: TextIO) -> Pst:
     _require(len(vocab) == len(raw_vocab), "duplicate vocab tokens")
     m = len(vocab)
 
+    raw_params = doc.get("params")
+    _require(isinstance(raw_params, dict), "missing params object")
+    _require(_is_int(raw_params.get("depth")), "missing or non-integer depth")
+    real_params = ("p_min", "threshold", "tau", "epsilon")
+    for name in real_params:
+        _require(_is_number(raw_params.get(name)), f"missing or non-numeric {name}")
+    try:
+        params = PstParams(raw_params["depth"],
+                           **{name: float(raw_params[name]) for name in real_params})
+        _check_epsilon(params.epsilon, m)
+    except (OverflowError, ValueError) as exc:
+        raise CorruptModelError(f"bad params: {exc}") from None
+
     training = doc.get("training")
     _require(isinstance(training, dict), "missing training object")
     n_sequences = training.get("n_sequences")
     n_tokens = training.get("n_tokens")
     _require(
-        isinstance(n_sequences, int) and n_sequences >= 0
-        and isinstance(n_tokens, int) and n_tokens >= 0,
+        _is_int(n_sequences) and n_sequences >= 0
+        and _is_int(n_tokens) and n_tokens >= 0,
         "bad training counts")
 
     raw_nodes = doc.get("nodes")
@@ -482,7 +489,7 @@ def load_model(source: TextIO) -> Pst:
         raw_ctx = entry.get("context")
         _require(isinstance(raw_ctx, list), "node missing context")
         _require(
-            all(isinstance(s, int) and 0 <= s < m for s in raw_ctx),
+            all(_is_int(s) and 0 <= s < m for s in raw_ctx),
             f"context symbol out of range in {raw_ctx!r}")
         ctx = tuple(raw_ctx)
         _require(len(ctx) <= params.depth, f"context longer than depth: {raw_ctx!r}")
@@ -494,12 +501,16 @@ def load_model(source: TextIO) -> Pst:
             _require(
                 isinstance(item, list) and len(item) == 2, "malformed dist entry")
             sym, p = item
-            _require(isinstance(sym, int) and 0 <= sym < m,
+            _require(_is_int(sym) and 0 <= sym < m,
                      f"dist symbol out of range: {sym!r}")
-            _require(isinstance(p, (int, float)) and 0.0 <= p <= 1.0,
+            _require(_is_number(p) and 0.0 <= p <= 1.0,
                      f"dist probability out of range: {p!r}")
             _require(sym not in dist, f"duplicate dist symbol {sym}")
             dist[sym] = float(p)
+        # Only an empty vocabulary (an empty corpus) leaves a row empty.
+        total = math.fsum(dist.values())
+        _require(m == 0 or abs(total - 1.0) <= 1e-9,
+                 f"dist of {raw_ctx!r} sums to {total!r}, not 1")
         nodes[ctx] = PstNode(context=ctx, dist=dist)
 
     root = nodes.get(())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from .flows import Label
 from .language import Sequence, Vocabulary
@@ -116,8 +116,8 @@ class GenConfig:
                 f"anomaly_fraction must be in [0, 1], got {self.anomaly_fraction}")
 
 
-def _sample(rng: SplitMix64, items: list[tuple[int, float]]) -> int:
-    """Draw an index from (value, probability) pairs by cumulative scan."""
+def _sample(rng: SplitMix64, items: list[tuple[Any, float]]) -> Any:
+    """Draw a value from (value, probability) pairs by cumulative scan."""
     u = rng.next_float()
     acc = 0.0
     last_positive = None
@@ -131,23 +131,6 @@ def _sample(rng: SplitMix64, items: list[tuple[int, float]]) -> int:
     if last_positive is None:
         raise ValueError("cannot sample from an all-zero distribution")
     return last_positive
-
-
-def _sample_prefix(rng: SplitMix64, spec: MarkovSpec) -> list[int]:
-    choices = sorted(spec.initial.items())
-    u = rng.next_float()
-    acc = 0.0
-    last_positive = None
-    for ctx, p in choices:
-        if p <= 0.0:
-            continue
-        last_positive = ctx
-        acc += p
-        if u < acc:
-            return list(ctx)
-    if last_positive is None:
-        raise ValueError("initial distribution is all zero")
-    return list(last_positive)
 
 
 def generate_corpus(
@@ -179,7 +162,7 @@ def generate_corpus(
         is_attack = rng.next_float() < cfg.anomaly_fraction
         length = cfg.length_min + rng.next_below(cfg.length_max - cfg.length_min + 1)
         spec = anomaly if is_attack else background
-        seq = _sample_prefix(rng, spec)
+        seq = list(_sample(rng, sorted(spec.initial.items())))
         while len(seq) < length:
             ctx = tuple(seq[len(seq) - spec.order:]) if spec.order else ()
             row = spec.transitions.get(ctx)

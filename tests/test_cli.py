@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -488,10 +489,17 @@ class TestDeterminism:
             assert run(capsys, "eval", "--scores", str(scores),
                        "--sequences", str(corpus),
                        "--out-dir", str(d / "r"))[0] == 0
+            for stem, text in (("csv", CSV_TEXT), ("zeek", ZEEK_TEXT)):
+                flows = d / f"{stem}.in"
+                flows.write_text(text)
+                assert run(capsys, "prepare", "--in", str(flows),
+                           "--out", str(d / f"{stem}.seqs"), "--no-timestamp")[0] == 0
+            assert run(capsys, "words", "--out", str(d / "words.tsv"))[0] == 0
             outputs.append(d)
         one, two = outputs
         for rel in ("c.txt", "m.json", "s.csv", "r/report.json",
-                    "r/roc.csv", "r/hist.csv"):
+                    "r/roc.csv", "r/hist.csv", "csv.seqs", "zeek.seqs",
+                    "words.tsv"):
             assert (one / rel).read_bytes() == (two / rel).read_bytes()
 
 
@@ -504,3 +512,51 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "wrote 5 sequences" in proc.stdout
     assert out.exists()
+
+
+class TestExitCodes:
+    """A bad parameter is reported (exit 2) before a bad input is read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--in", "{junk}", "--out", "{out}", "--epsilon", "-0.5"],
+        ["train", "--in", "{missing}", "--out", "{out}", "--epsilon", "-0.5"],
+        ["prepare", "--in", "{blob}", "--out", "{out}", "--bucket-width", "0"],
+        ["words", "--wordlist", "{bad_words}", "--tau", "0.5"],
+        ["synth", "--out", "{out}", "--n", "-1"],
+        ["score", "--model", "{missing}", "--in", "{junk}", "--out", "{out}",
+         "--limit", "2.0"],
+    ], ids=["train-epsilon-garbage", "train-epsilon-missing",
+            "prepare-bucket-width-binary", "words-tau-bad-list",
+            "synth-negative-n", "score-limit-missing-model"])
+    def test_double_fault(self, tmp_path, capsys, argv):
+        files = {"junk": tmp_path / "junk.txt", "blob": tmp_path / "blob.bin",
+                 "bad_words": tmp_path / "words.txt",
+                 "missing": tmp_path / "nope", "out": tmp_path / "out"}
+        files["junk"].write_text("this is not a sequences file\n")
+        files["blob"].write_bytes(b"\x00\xff\xfePK\x03\x04")
+        files["bad_words"].write_text("Hello1\n")
+        code, _, stderr = run(capsys, *(a.format(**files) for a in argv))
+        assert code == 2
+        assert stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["words", "--wordlist", "{words}"],
+        ["synth", "--out", "{out}", "--n", "20"],
+        ["score", "--model", "{model}", "--in", "{corpus}", "--out", "{out}",
+         "--limit", "1.0"],
+    ], ids=["words", "synth", "score"])
+    def test_closed_stdout(self, pipeline, tmp_path, argv):
+        words = tmp_path / "words.txt"
+        words.write_text("abc\nabd\nbcd\n")
+        files = {"words": words, "out": tmp_path / "out",
+                 "model": pipeline / "model.json", "corpus": pipeline / "corpus.txt"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "flowlang", *(a.format(**files) for a in argv)],
+                stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

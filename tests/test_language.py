@@ -182,6 +182,23 @@ class TestSessionize:
         assert seq.ip_low == "10.0.0.2"
         assert seq.ip_high == "10.0.0.9"
 
+    def test_ipv6_spellings_share_a_session(self):
+        flows = [flow(1.0, src="2001:db8::1", dst="2001:db8::2"),
+                 flow(2.0, src="2001:0db8:0::1", dst="2001:DB8::2")]
+        (seq,), _ = sessionize(flows, TokenScheme(), SessionPolicy())
+        assert seq.n_flows == 2
+        assert (seq.ip_low, seq.ip_high) == ("2001:db8::1", "2001:db8::2")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.ip_addresses(v=6))
+    def test_ipv6_endpoint_is_canonical(self, addr):
+        spellings = [addr.exploded, addr.compressed, addr.compressed.upper()]
+        flows = [flow(float(i), src=text, dst="2001:db8::2")
+                 for i, text in enumerate(spellings)]
+        assert {f.src_ip for f in flows} == {str(addr)}
+        sequences, _ = sessionize(flows, TokenScheme(), SessionPolicy())
+        assert len(sequences) == 1
+
     def test_min_length_filter(self):
         flows = [flow(100.0), flow(200.0), flow(3700.0)]
         sequences, _ = sessionize(flows, TokenScheme(), SessionPolicy(),

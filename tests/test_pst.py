@@ -546,3 +546,51 @@ class TestModelIO:
             doc["nodes"].append(dict(doc["nodes"][0]))
         with pytest.raises(CorruptModelError):
             load_model(self.doc_for(mutate))
+
+    def test_empty_vocabulary_model_loads(self):
+        # An empty corpus trains a root-only model with an empty row.
+        pst = train([], PstParams(depth=2), vocab_size=0)
+        loaded, _ = self.roundtrip(pst)
+        assert loaded.root.dist == {}
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(version=True),
+        lambda d: d["params"].update(depth=1.9),
+        lambda d: d["params"].update(depth="1"),
+        lambda d: d["params"].update(depth=True),
+        lambda d: d["params"].update(tau=True),
+        lambda d: d["params"].pop("p_min"),
+        lambda d: d["params"].update(epsilon=0.9),
+        lambda d: d["params"].update(epsilon=0.5),
+        lambda d: d["training"].update(n_tokens=True),
+        lambda d: d["nodes"][1].update(context=[False]),
+        lambda d: d["nodes"][0].update(dist=[[0, True]]),
+        lambda d: d["nodes"][0].update(dist=[[True, 1.0]]),
+        lambda d: d["nodes"][0].update(dist=[[0, 0.5]]),
+        lambda d: d["nodes"][0].update(dist=[]),
+        lambda d: [n.update(dist=[[0, 1.0], [1, 1.0]]) for n in d["nodes"]],
+    ], ids=["bool-version", "fractional-depth", "string-depth", "bool-depth",
+            "bool-tau", "missing-p-min", "epsilon-above-1/m", "epsilon-equals-1/m",
+            "bool-count", "bool-context-symbol", "bool-probability",
+            "bool-dist-symbol", "row-sums-below-one", "empty-root-row",
+            "rows-sum-to-two"])
+    def test_corrupt_document_rejected(self, mutate):
+        with pytest.raises(CorruptModelError):
+            load_model(self.doc_for(mutate))
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus_strategy, params_strategy, st.data())
+    def test_perturbed_probability_rejected(self, corpus, params, data):
+        m, seqs = corpus
+        if params.epsilon >= 1.0 / m:
+            params = PstParams(depth=params.depth, p_min=params.p_min,
+                               threshold=params.threshold, tau=params.tau,
+                               epsilon=0.0)
+        buf = io.StringIO()
+        save_model(train(seqs, params, m), buf)
+        doc = json.loads(buf.getvalue())
+        node = data.draw(st.sampled_from(doc["nodes"]))
+        entry = data.draw(st.sampled_from(node["dist"]))
+        entry[1] += data.draw(st.floats(1e-6, 1.0))
+        with pytest.raises(CorruptModelError):
+            load_model(io.StringIO(json.dumps(doc)))
