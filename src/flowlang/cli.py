@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import os
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Iterable
 
 from .errors import DataError, FormatError
 from .evaluate import RANKINGS, EvalReport, evaluate
-from .flows import CSV_HEADER, Label, parse_labeled_csv, parse_zeek_conn
+from .flows import Label, parse_labeled_csv, parse_zeek_conn, sniff_format
 from .language import (
     SCHEME_KINDS,
     SessionPolicy,
@@ -53,15 +55,6 @@ def _now_utc() -> str:
 
 def _seq_id(index: int) -> str:
     return f"{index:08d}"
-
-
-def _read_lines(path: str, lossy: bool = False) -> list[str]:
-    errors = "replace" if lossy else "strict"
-    try:
-        with open(path, encoding="utf-8", errors=errors) as fh:
-            return fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _session_policy(text: str) -> SessionPolicy:
@@ -172,28 +165,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sniff_format(lines: list[str]) -> str:
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            return "zeek"
-        if [h.strip() for h in stripped.split(",")] == CSV_HEADER:
-            return "csv"
-        raise FormatError("unrecognized input format "
-                          "(expected a Zeek conn log or the labeled CSV)")
-    raise FormatError("empty input")
-
-
 def cmd_prepare(args: argparse.Namespace) -> int:
     scheme = TokenScheme(kind=args.scheme, bucket_width=args.bucket_width)
-    lines = _read_lines(args.input, lossy=True)
-    kind = _sniff_format(lines)
-    if kind == "zeek":
-        records, stats = parse_zeek_conn(lines)
-    else:
-        records, stats = parse_labeled_csv(lines)
+    if args.min_length < 1:
+        raise ValueError(f"min_length must be >= 1, got {args.min_length}")
+    with open(args.input, encoding="utf-8", errors="replace") as fh:
+        # Buffer up to the first non-blank line to sniff the format, then
+        # give the parser every line, so its line numbers are the file's.
+        head = []
+        for line in fh:
+            head.append(line)
+            if line.strip():
+                break
+        lines = itertools.chain(head, fh)
+        if sniff_format(head[-1] if head else "") == "zeek":
+            records, stats = parse_zeek_conn(lines)
+        else:
+            records, stats = parse_labeled_csv(lines)
     seqs, vocab = sessionize(
         records, scheme, args.session, min_length=args.min_length)
     comment = None if args.no_timestamp else f"generated {_now_utc()}"
@@ -213,7 +201,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     params = _pst_params(args)
-    seqs, vocab = read_sequences(_read_lines(args.input))
+    with open(args.input, encoding="utf-8") as fh:
+        seqs, vocab = read_sequences(fh)
     counts = count_contexts((s.token_ids for s in seqs), params.depth)
     tree = build_tree(counts, params, vocab)
     created = None if args.no_timestamp else _now_utc()
@@ -228,9 +217,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    if not 0.0 < args.limit <= 1.0:
+        raise ValueError(f"limit must be in (0, 1], got {args.limit}")
     with open(args.model, encoding="utf-8") as fh:
         tree = load_model(fh)
-    seqs, vocab = read_sequences(_read_lines(args.input))
+    with open(args.input, encoding="utf-8") as fh:
+        seqs, vocab = read_sequences(fh)
     text_of = vocab.tokens()
     scored = [(_seq_id(i), score_sequence(tree, [text_of[t] for t in seq.token_ids]))
               for i, seq in enumerate(seqs)]
@@ -249,11 +241,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_scores_csv(lines: list[str]) -> dict[str, Score]:
-    if not lines or lines[0].rstrip("\n") != SCORES_HEADER:
+def _parse_scores_csv(lines: Iterable[str]) -> dict[str, Score]:
+    it = iter(lines)
+    if next(it, "").rstrip("\n") != SCORES_HEADER:
         raise FormatError(f"scores file must start with {SCORES_HEADER!r}")
     rows: dict[str, Score] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(it, start=2):
         line = raw.rstrip("\n")
         if not line:
             continue
@@ -307,8 +300,12 @@ def _report_json(report: EvalReport) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    seqs, _ = read_sequences(_read_lines(args.sequences))
-    rows = _parse_scores_csv(_read_lines(args.scores))
+    if args.bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {args.bins}")
+    with open(args.sequences, encoding="utf-8") as fh:
+        seqs, _ = read_sequences(fh)
+    with open(args.scores, encoding="utf-8") as fh:
+        rows = _parse_scores_csv(fh)
     if len(rows) != len(seqs):
         raise DataError(
             f"scores file has {len(rows)} rows for {len(seqs)} sequences")
@@ -367,19 +364,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _load_wordlist(path: str | None) -> list[str]:
-    if path is not None:
-        lines = _read_lines(path)
-    else:
-        data = resources.files("flowlang").joinpath("data/words.txt").read_text("utf-8")
-        lines = data.splitlines()
+    source = resources.files("flowlang") / "data/words.txt" if path is None else Path(path)
     words = []
-    for lineno, raw in enumerate(lines, start=1):
-        word = raw.strip()
-        if not word:
-            continue
-        if not word.isascii() or not word.isalpha() or word != word.lower():
-            raise FormatError(f"line {lineno}: not a lowercase word: {word!r}")
-        words.append(word)
+    with source.open(encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            word = raw.strip()
+            if not word:
+                continue
+            if not word.isascii() or not word.isalpha() or word != word.lower():
+                raise FormatError(f"line {lineno}: not a lowercase word: {word!r}")
+            words.append(word)
     if not words:
         raise DataError("word list is empty")
     return words
@@ -430,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError as exc:
+        print(f"format error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 3
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

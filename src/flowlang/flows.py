@@ -12,7 +12,7 @@ import ipaddress
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import FormatError
 
@@ -108,15 +108,6 @@ class IngestStats:
     rows_read: int = 0
     rows_parsed: int = 0
     rows_rejected: int = 0
-    first_ts: float = 0.0
-    last_ts: float = 0.0
-
-    def _observe(self, ts: float) -> None:
-        if self.rows_parsed == 1:
-            self.first_ts = self.last_ts = ts
-        else:
-            self.first_ts = min(self.first_ts, ts)
-            self.last_ts = max(self.last_ts, ts)
 
 
 def _parse_float(text: str) -> float:
@@ -134,9 +125,72 @@ def _parse_count(text: str) -> int:
     return int(text)
 
 
-def _reject(stats: IngestStats, lineno: int, reason: str) -> None:
-    stats.rows_rejected += 1
-    logger.debug("rejected line %d: %s", lineno, reason)
+# The converter for each CSV_HEADER cell; FlowRecord takes its fields in
+# the same order.
+_CONVERTERS = (_parse_float, str, _parse_count, str, _parse_count, normalize_protocol,
+               _parse_count, _parse_count, _parse_count, _parse_count, _parse_float,
+               Label.parse)
+
+
+def _record(cells: list[str]) -> FlowRecord:
+    """Build a FlowRecord from cell texts in CSV_HEADER order; raises
+    ValueError on a missing timestamp or any bad value."""
+    if cells[0] in _MISSING:
+        raise ValueError("missing ts")
+    return FlowRecord(*(convert(cell) for convert, cell in zip(_CONVERTERS, cells)))
+
+
+# A data row's line number and either its cells in CSV_HEADER order or the
+# reason it could not be split into them.
+_Row = tuple[int, list[str] | str]
+
+
+def _ingest(rows: Iterable[_Row]) -> tuple[list[FlowRecord], IngestStats]:
+    """Build records from rows, counting each one rejected."""
+    records: list[FlowRecord] = []
+    stats = IngestStats()
+    for lineno, cells in rows:
+        stats.rows_read += 1
+        try:
+            if isinstance(cells, str):
+                raise ValueError(cells)
+            records.append(_record(cells))
+        except ValueError as exc:
+            stats.rows_rejected += 1
+            logger.debug("rejected line %d: %s", lineno, exc)
+    stats.rows_parsed = len(records)
+    return records, stats
+
+
+# The Zeek conn log column for each CSV_HEADER field. Zeek carries no label,
+# so a column that happens to be named "label" is ignored.
+_ZEEK_FIELDS = ("ts", "id.orig_h", "id.orig_p", "id.resp_h", "id.resp_p", "proto",
+                "orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts", "duration", None)
+
+
+def _zeek_rows(lines: Iterable[str]) -> Iterator[_Row]:
+    width = 0
+    order: list[int | None] | None = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line.split("\t")
+            if parts[0] == "#fields":
+                columns = {name: i for i, name in enumerate(parts[1:])}
+                # Count the names, not the distinct names: with a repeated
+                # name, every index must still fall inside a full row.
+                width = len(parts) - 1
+                order = [columns.get(name) for name in _ZEEK_FIELDS]
+            continue
+        if order is None:
+            raise FormatError(f"line {lineno}: data row before #fields header")
+        fields = line.split("\t")
+        if len(fields) != width:
+            yield lineno, f"expected {width} fields, got {len(fields)}"
+        else:
+            yield lineno, ["-" if i is None else fields[i] for i in order]
 
 
 def parse_zeek_conn(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats]:
@@ -152,58 +206,21 @@ def parse_zeek_conn(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats
         as rejected; only a data row arriving before any ``#fields`` header
         raises FormatError.
     """
-    columns: dict[str, int] | None = None
-    records: list[FlowRecord] = []
-    stats = IngestStats()
+    return _ingest(_zeek_rows(lines))
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line:
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[_Row]:
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != CSV_HEADER:
+        raise FormatError(f"missing or malformed CSV header, expected {','.join(CSV_HEADER)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
             continue
-        if line.startswith("#"):
-            parts = line.split("\t")
-            if parts[0] == "#fields":
-                columns = {name: i for i, name in enumerate(parts[1:])}
-            continue
-        if columns is None:
-            raise FormatError(f"line {lineno}: data row before #fields header")
-
-        stats.rows_read += 1
-        fields = line.split("\t")
-        if len(fields) != len(columns):
-            _reject(stats, lineno, f"expected {len(columns)} fields, got {len(fields)}")
-            continue
-
-        def cell(name: str) -> str:
-            idx = columns.get(name)
-            return fields[idx] if idx is not None else "-"
-
-        try:
-            ts_text = cell("ts")
-            if ts_text in _MISSING:
-                raise ValueError("missing ts")
-            record = FlowRecord(
-                ts=_parse_float(ts_text),
-                src_ip=cell("id.orig_h"),
-                src_port=_parse_count(cell("id.orig_p")),
-                dst_ip=cell("id.resp_h"),
-                dst_port=_parse_count(cell("id.resp_p")),
-                protocol=normalize_protocol(cell("proto")),
-                orig_bytes=_parse_count(cell("orig_bytes")),
-                resp_bytes=_parse_count(cell("resp_bytes")),
-                orig_pkts=_parse_count(cell("orig_pkts")),
-                resp_pkts=_parse_count(cell("resp_pkts")),
-                duration=_parse_float(cell("duration")),
-            )
-        except ValueError as exc:
-            _reject(stats, lineno, str(exc))
-            continue
-
-        records.append(record)
-        stats.rows_parsed += 1
-        stats._observe(record.ts)
-
-    return records, stats
+        if len(row) != len(CSV_HEADER):
+            yield lineno, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+        else:
+            yield lineno, [cell.strip() for cell in row]
 
 
 def parse_labeled_csv(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats]:
@@ -218,48 +235,22 @@ def parse_labeled_csv(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestSta
         (records, stats), with the same per-row rejection semantics as
         parse_zeek_conn. A missing or wrong header raises FormatError.
     """
-    records: list[FlowRecord] = []
-    stats = IngestStats()
-    reader = csv.reader(lines)
+    return _ingest(_csv_rows(lines))
 
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != CSV_HEADER:
-        raise FormatError(f"missing or malformed CSV header, expected {','.join(CSV_HEADER)}")
 
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        stats.rows_read += 1
-        if len(row) != len(CSV_HEADER):
-            _reject(stats, lineno, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-            continue
-        try:
-            ts_text = row[0].strip()
-            if ts_text in _MISSING:
-                raise ValueError("missing ts")
-            record = FlowRecord(
-                ts=_parse_float(ts_text),
-                src_ip=row[1].strip(),
-                src_port=_parse_count(row[2].strip()),
-                dst_ip=row[3].strip(),
-                dst_port=_parse_count(row[4].strip()),
-                protocol=normalize_protocol(row[5]),
-                orig_bytes=_parse_count(row[6].strip()),
-                resp_bytes=_parse_count(row[7].strip()),
-                orig_pkts=_parse_count(row[8].strip()),
-                resp_pkts=_parse_count(row[9].strip()),
-                duration=_parse_float(row[10].strip()),
-                label=Label.parse(row[11]),
-            )
-        except ValueError as exc:
-            _reject(stats, lineno, str(exc))
-            continue
-
-        records.append(record)
-        stats.rows_parsed += 1
-        stats._observe(record.ts)
-
-    return records, stats
+def sniff_format(line: str) -> str:
+    """Name the format, "zeek" or "csv", that a file whose first non-blank
+    line is `line` is in: a Zeek log starts with a ``#`` directive, the
+    labeled CSV with its header. Raises FormatError otherwise."""
+    stripped = line.strip()
+    if not stripped:
+        raise FormatError("empty input")
+    if stripped.startswith("#"):
+        return "zeek"
+    if [h.strip() for h in stripped.split(",")] == CSV_HEADER:
+        return "csv"
+    raise FormatError("unrecognized input format "
+                      "(expected a Zeek conn log or the labeled CSV)")
 
 
 def write_labeled_csv(flows: Iterable[FlowRecord], sink: TextIO) -> None:

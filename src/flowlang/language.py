@@ -288,7 +288,7 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
             continue
         if line.startswith("#vocab"):
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise FormatError(f"line {lineno}: malformed #vocab directive")
             vocab_n = int(parts[1])
             break
@@ -307,7 +307,7 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
             raise FormatError("truncated vocabulary block") from None
         line = raw.rstrip("\n")
         parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].isdigit():
+        if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
             raise FormatError(f"line {lineno}: malformed vocabulary row")
         if int(parts[0]) != len(vocab):
             raise FormatError(f"line {lineno}: vocabulary ids out of order")

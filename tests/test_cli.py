@@ -280,12 +280,16 @@ class TestScore:
         seqs, _ = read_corpus(pipeline / "corpus.txt")
         assert lengths == [len(s.token_ids) for s in seqs]
 
-    def test_bad_limit(self, pipeline, tmp_path, capsys):
+    def test_bad_limit(self, pipeline, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(flowlang.cli, "load_model", loads.append)
         code, _, stderr = run(
             capsys, "score", "--model", str(pipeline / "model.json"),
             "--in", str(pipeline / "corpus.txt"),
             "--out", str(tmp_path / "s.csv"), "--limit", "2.0")
         assert code == 2
+        assert stderr.startswith("error: limit must be in (0, 1]")
+        assert loads == []
 
     def test_corrupt_model(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -294,6 +298,15 @@ class TestScore:
                               "--in", str(pipeline / "corpus.txt"),
                               "--out", str(tmp_path / "s.csv"))
         assert code == 3
+
+    def test_binary_model(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bin.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, _, stderr = run(capsys, "score", "--model", str(bad),
+                              "--in", str(pipeline / "corpus.txt"),
+                              "--out", str(tmp_path / "s.csv"))
+        assert code == 3
+        assert stderr.startswith("format error: ")
 
     def test_missing_model(self, pipeline, tmp_path, capsys):
         code, _, _ = run(capsys, "score", "--model", str(tmp_path / "nope.json"),
@@ -518,6 +531,27 @@ class TestExitCodes:
     """A bad parameter is reported (exit 2) before a bad input is read."""
 
     @pytest.mark.parametrize("argv", [
+        ["train", "--in", "{bad_corpus}", "--out", "{out}"],
+        ["score", "--model", "{model}", "--in", "{bad_corpus}", "--out", "{out}"],
+        ["eval", "--scores", "{scores}", "--sequences", "{bad_corpus}",
+         "--out-dir", "{out}"],
+        ["eval", "--scores", "{bad_scores}", "--sequences", "{corpus}",
+         "--out-dir", "{out}"],
+    ], ids=["train", "score", "eval-sequences", "eval-scores"])
+    def test_late_invalid_byte(self, pipeline, tmp_path, capsys, argv):
+        # Inputs are streamed, so the decode error arrives mid-parse.
+        files = {"model": pipeline / "model.json", "corpus": pipeline / "corpus.txt",
+                 "scores": pipeline / "scores.csv", "out": tmp_path / "out",
+                 "bad_corpus": tmp_path / "corpus.txt",
+                 "bad_scores": tmp_path / "scores.csv"}
+        for name in ("corpus", "scores"):
+            data = files[name].read_bytes()
+            files[f"bad_{name}"].write_bytes(data[:-1] + b"\xff\n")
+        code, _, stderr = run(capsys, *(a.format(**files) for a in argv))
+        assert code == 3
+        assert stderr.startswith("format error: ")
+
+    @pytest.mark.parametrize("argv", [
         ["train", "--in", "{junk}", "--out", "{out}", "--epsilon", "-0.5"],
         ["train", "--in", "{missing}", "--out", "{out}", "--epsilon", "-0.5"],
         ["prepare", "--in", "{blob}", "--out", "{out}", "--bucket-width", "0"],
@@ -525,9 +559,15 @@ class TestExitCodes:
         ["synth", "--out", "{out}", "--n", "-1"],
         ["score", "--model", "{missing}", "--in", "{junk}", "--out", "{out}",
          "--limit", "2.0"],
+        ["score", "--model", "{junk}", "--in", "{junk}", "--out", "{out}",
+         "--limit", "2.0"],
+        ["eval", "--scores", "{junk}", "--sequences", "{junk}", "--out-dir", "{out}",
+         "--bins", "0"],
+        ["prepare", "--in", "{blob}", "--out", "{out}", "--min-length", "0"],
     ], ids=["train-epsilon-garbage", "train-epsilon-missing",
             "prepare-bucket-width-binary", "words-tau-bad-list",
-            "synth-negative-n", "score-limit-missing-model"])
+            "synth-negative-n", "score-limit-missing-model",
+            "score-limit-junk-model", "eval-bins-junk", "prepare-min-length-blob"])
     def test_double_fault(self, tmp_path, capsys, argv):
         files = {"junk": tmp_path / "junk.txt", "blob": tmp_path / "blob.bin",
                  "bad_words": tmp_path / "words.txt",

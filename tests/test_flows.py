@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import ipaddress
 
@@ -151,16 +152,32 @@ class TestParseZeek:
         with pytest.raises(FormatError):
             parse_zeek_conn(["1.0\tC1\t10.0.0.1\n"])
 
+    def test_reordered_columns_and_label_column_ignored(self):
+        # The canonical header's rows, rewritten under a header that lists
+        # the columns backwards and adds a "label" column Zeek never has.
+        names = ZEEK_HEADER[1].rstrip("\n").split("\t")[1:]
+        rows = [zeek_row(), zeek_row(ts="2.5", proto="udp", orig_bytes="-")]
+        reordered = ["#fields\t" + "\t".join(["label"] + names[::-1]) + "\n"]
+        for row in rows:
+            cells = row.rstrip("\n").split("\t")
+            reordered.append("\t".join(["attack"] + cells[::-1]) + "\n")
+        assert parse_zeek_conn(reordered) == parse_zeek_conn(ZEEK_HEADER + rows)
+        records, _ = parse_zeek_conn(reordered)
+        assert [r.label for r in records] == [Label.UNLABELED] * 2
+
+    def test_repeated_column_name_does_not_crash(self):
+        header = "#fields\tts\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tproto\tts\n"
+        records, stats = parse_zeek_conn(
+            [header, "1.0\t10.0.0.1\t1\t10.0.0.2\t2\ttcp\t3.0\n",
+             "1.0\t10.0.0.1\t1\t10.0.0.2\t2\ttcp\n"])
+        assert [r.ts for r in records] == [3.0]
+        assert stats.rows_read == 2
+        assert stats.rows_rejected == 1
+
     def test_comment_only_input_is_empty(self):
         records, stats = parse_zeek_conn(["#unset_field\t-\n"] + ZEEK_HEADER)
         assert records == []
         assert stats.rows_read == 0
-
-    def test_stats_ts_range(self):
-        rows = [zeek_row(ts="5.0"), zeek_row(ts="2.0"), zeek_row(ts="9.0")]
-        _, stats = parse_zeek_conn(ZEEK_HEADER + rows)
-        assert stats.first_ts == 2.0
-        assert stats.last_ts == 9.0
 
 
 def csv_line(flow: FlowRecord) -> str:
@@ -248,3 +265,35 @@ class TestCsvRoundTrip:
         assert parsed == flows
         assert stats.rows_parsed == len(flows)
         assert stats.rows_rejected == 0
+
+
+# Cell texts either parser must read alike: no separators, no quotes, no
+# leading "#" and no surrounding blanks (the CSV parser strips its cells).
+junk_cells = st.sampled_from(
+    ["", "-", "(empty)", "x", "-1", "70000", "nan", "inf", "1e3", "0.5",
+     "999.0.0.1", "::1", "TCP", "udp"])
+
+
+def zeek_text(cells):
+    names = ["ts", "id.orig_h", "id.orig_p", "id.resp_h", "id.resp_p", "proto",
+             "orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts", "duration"]
+    return ["#fields\t" + "\t".join(names) + "\n", "\t".join(cells[:11]) + "\n"]
+
+
+def csv_text(cells):
+    return [",".join(CSV_HEADER) + "\n", ",".join(cells) + "\n"]
+
+
+class TestParsersAgree:
+    @settings(max_examples=300)
+    @given(flow_records, st.lists(st.tuples(st.integers(0, 10), junk_cells), max_size=3))
+    def test_same_row_same_record(self, flow, edits):
+        cells = csv_line(flow).split(",")
+        for index, text in edits:
+            cells[index] = text
+        zeek, zeek_stats = parse_zeek_conn(zeek_text(cells))
+        csv_records, csv_stats = parse_labeled_csv(csv_text(cells))
+        assert zeek_stats.rows_rejected == csv_stats.rows_rejected
+        assert zeek == [dataclasses.replace(r, label=Label.UNLABELED) for r in csv_records]
+        if not edits:
+            assert csv_records == [flow]

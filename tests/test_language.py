@@ -341,3 +341,26 @@ class TestSequenceFile:
         text = "#vocab 1\n0\ttok_b1\nnormal\ta\tb\tnope\t0\n"
         with pytest.raises(FormatError, match="line 3"):
             read_sequences(io.StringIO(text))
+
+    @pytest.mark.parametrize("lines", [
+        ["#vocab ²\n"],
+        ["#vocab 1\n", "²\ttok_b1\n"],
+    ], ids=["vocab-count", "vocab-id"])
+    def test_non_ascii_digits_are_format_error(self, lines):
+        with pytest.raises(FormatError, match="line"):
+            read_sequences(lines)
+
+    @settings(max_examples=300)
+    @given(text=st.text(alphabet=st.characters(blacklist_characters="\t\n\r"),
+                        max_size=6)
+           | st.text(alphabet="019²³¹٣۵०①", min_size=1, max_size=4),
+           position=st.sampled_from(["count", "id"]))
+    def test_number_positions_parse_or_format_error(self, text, position):
+        if position == "count":
+            lines = [f"#vocab {text}\n", "0\ttok_b1\n"]
+        else:
+            lines = ["#vocab 1\n", f"{text}\ttok_b1\n"]
+        try:
+            read_sequences(lines)
+        except FormatError:
+            pass
