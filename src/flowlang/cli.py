@@ -27,6 +27,7 @@ from .language import (
     SessionPolicy,
     TokenScheme,
     Vocabulary,
+    canonical_float,
     read_sequences,
     sessionize,
     write_sequences,
@@ -259,8 +260,10 @@ def _parse_scores_csv(lines: Iterable[str]) -> dict[str, Score]:
         if zero_text not in ("true", "false"):
             raise FormatError(f"line {lineno}: bad zero_likelihood {zero_text!r}")
         try:
-            likelihood = float(lik_text)
-            loss = float(loss_text)
+            if _seq_id(int(seq_id)) != seq_id:
+                raise ValueError(seq_id)
+            likelihood = canonical_float(lik_text)
+            loss = canonical_float(loss_text)
         except ValueError:
             raise FormatError(f"line {lineno}: bad numeric field") from None
         zero = zero_text == "true"

@@ -114,6 +114,8 @@ class Sequence:
     def __post_init__(self):
         if not self.token_ids:
             raise ValueError("empty sequence")
+        if not math.isfinite(self.window_start):
+            raise ValueError(f"non-finite window start: {self.window_start!r}")
         if self.ip_low > self.ip_high:
             raise ValueError(f"endpoint pair not ordered: {self.ip_low!r} > {self.ip_high!r}")
 
@@ -248,6 +250,26 @@ def sessionize(
     return sequences, vocab
 
 
+def canonical_float(text: str) -> float:
+    """float(text) when repr() writes that float as exactly text;
+    ValueError for any other spelling (a space, an underscore, an
+    exponent repr() would not use, a non-ASCII digit)."""
+    value = float(text)
+    if repr(value) != text:
+        raise ValueError(f"not a float as written: {text!r}")
+    return value
+
+
+def _index(text: str) -> int:
+    """text as a count or id when str() writes that int as exactly text
+    (no sign on zero, leading zero, underscore or non-ASCII digit), else -1."""
+    try:
+        value = int(text)
+    except ValueError:
+        return -1
+    return value if str(value) == text else -1
+
+
 def write_sequences(
     sequences: Iterable[Sequence],
     vocab: Vocabulary,
@@ -276,8 +298,10 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
 
     An input with no content lines yields an empty corpus. Raises
     FormatError (with a line number) on any structural problem: data before
-    the #vocab directive, bad vocab rows, wrong field counts, ids that are
-    not registered in the vocabulary.
+    the #vocab directive, bad or duplicate vocab rows, wrong field counts,
+    a label other than attack, normal or unlabeled, a number spelled other
+    than write_sequences writes it, a non-finite window start, ids that
+    are not registered in the vocabulary.
     """
     it = enumerate(lines, start=1)
     vocab_n: int | None = None
@@ -287,10 +311,10 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
         if not line.strip():
             continue
         if line.startswith("#vocab"):
-            parts = line.split()
-            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+            parts = line.split(" ")
+            vocab_n = _index(parts[1]) if len(parts) == 2 else -1
+            if vocab_n < 0:
                 raise FormatError(f"line {lineno}: malformed #vocab directive")
-            vocab_n = int(parts[1])
             break
         if line.startswith("#"):
             continue
@@ -307,12 +331,14 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
             raise FormatError("truncated vocabulary block") from None
         line = raw.rstrip("\n")
         parts = line.split("\t")
-        if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
+        token_id = _index(parts[0]) if len(parts) == 2 else -1
+        if token_id < 0:
             raise FormatError(f"line {lineno}: malformed vocabulary row")
-        if int(parts[0]) != len(vocab):
+        if token_id != len(vocab):
             raise FormatError(f"line {lineno}: vocabulary ids out of order")
         try:
-            vocab.add(parts[1])
+            if vocab.add(parts[1]) != token_id:
+                raise ValueError(f"duplicate vocabulary token {parts[1]!r}")
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
 
@@ -326,13 +352,15 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
             raise FormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         label_text, ip_low, ip_high, start_text, ids_text = parts
         try:
-            start = float(start_text)
-            ids = tuple(int(x) for x in ids_text.split())
+            start = canonical_float(start_text)
+            ids = tuple(map(int, ids_text.split(" ")))
+            if " ".join(map(str, ids)) != ids_text:
+                raise ValueError(f"token ids not as written: {ids_text!r}")
             for i in ids:
                 vocab.token_of(i)
             seq = Sequence(
                 ip_low=ip_low, ip_high=ip_high, window_start=start,
-                token_ids=ids, label=Label.parse(label_text),
+                token_ids=ids, label=Label(label_text),
             )
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None

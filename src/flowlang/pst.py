@@ -57,61 +57,55 @@ class PstParams:
 
 @dataclass
 class ContextCounts:
-    """Mergeable count tables for contexts up to max_len symbols.
+    """Mergeable count table for contexts up to max_len symbols.
 
-    occurrences[s] counts s as a contiguous substring; follows[s][sym]
-    counts occurrences of s immediately followed by sym within the same
-    sequence. follows[()] holds successor pairs of the empty context (a
-    count for every position that has a predecessor). The empty context
-    itself occurs total_positions times.
+    occurrences[s] counts s as a contiguous substring, for every s of 1 to
+    max_len + 1 symbols, so context s is followed by sym
+    occurrences[s + (sym,)] times within a sequence. starts[sym] counts
+    the sequences that begin with sym: the empty context is followed by
+    sym at every position but a sequence's first, occurrences[(sym,)] -
+    starts[sym] times. The empty context itself occurs total_positions
+    times.
     """
 
     max_len: int
     total_positions: int = 0
     n_sequences: int = 0
-    unigrams: dict[int, int] = field(default_factory=dict)
+    starts: dict[int, int] = field(default_factory=dict)
     occurrences: dict[tuple[int, ...], int] = field(default_factory=dict)
-    follows: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
 
 
 def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int) -> ContextCounts:
-    """Count context occurrences and successors across sequences.
+    """Count every substring of 1 to max_len + 1 symbols across sequences.
 
     Args:
         id_sequences: iterable of token-id sequences; sequences are never
             concatenated, so no context spans a sequence boundary.
-        max_len: longest context length to count (0 counts only unigrams
-            and empty-context successor pairs).
+        max_len: longest context length to count; one more symbol is
+            counted so every context's successor counts are in the table
+            (0 counts only unigrams).
 
     Returns:
-        ContextCounts covering every observed context of length <= max_len.
+        ContextCounts covering every observed context of length <= max_len
+        and its successors.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     counts = ContextCounts(max_len=max_len)
-    unigrams = counts.unigrams
+    starts = counts.starts
     occurrences = counts.occurrences
-    follows = counts.follows
 
     for raw in id_sequences:
         ids = tuple(raw)
         n = len(ids)
         counts.n_sequences += 1
         counts.total_positions += n
-        for sym in ids:
-            unigrams[sym] = unigrams.get(sym, 0) + 1
-        if n > 1:
-            pair_follows = follows.setdefault((), {})
-            for sym in ids[1:]:
-                pair_follows[sym] = pair_follows.get(sym, 0) + 1
-        for length in range(1, max_len + 1):
+        if n:
+            starts[ids[0]] = starts.get(ids[0], 0) + 1
+        for length in range(1, max_len + 2):
             for j in range(n - length + 1):
                 ctx = ids[j:j + length]
                 occurrences[ctx] = occurrences.get(ctx, 0) + 1
-                if j + length < n:
-                    ctx_follows = follows.setdefault(ctx, {})
-                    nxt = ids[j + length]
-                    ctx_follows[nxt] = ctx_follows.get(nxt, 0) + 1
     return counts
 
 
@@ -125,14 +119,10 @@ def merge_counts(a: ContextCounts, b: ContextCounts) -> ContextCounts:
         n_sequences=a.n_sequences + b.n_sequences,
     )
     for src in (a, b):
-        for sym, c in src.unigrams.items():
-            merged.unigrams[sym] = merged.unigrams.get(sym, 0) + c
-        for ctx, c in src.occurrences.items():
-            merged.occurrences[ctx] = merged.occurrences.get(ctx, 0) + c
-        for ctx, d in src.follows.items():
-            dst = merged.follows.setdefault(ctx, {})
-            for sym, c in d.items():
-                dst[sym] = dst.get(sym, 0) + c
+        for table, dst in ((src.starts, merged.starts),
+                           (src.occurrences, merged.occurrences)):
+            for key, c in table.items():
+                dst[key] = dst.get(key, 0) + c
     return merged
 
 
@@ -180,13 +170,9 @@ class Pst:
         return {sym: self.smoothed(node, sym) for sym in range(len(self.vocab))}
 
 
-def _conditional(follows: dict[tuple[int, ...], dict[int, int]],
-                 ctx: tuple[int, ...]) -> dict[int, float] | None:
-    d = follows.get(ctx)
-    if not d:
-        return None
-    total = sum(d.values())
-    return {sym: c / total for sym, c in d.items()}
+def _conditional(row: dict[int, int]) -> dict[int, float]:
+    total = sum(row.values())
+    return {sym: c / total for sym, c in row.items()}
 
 
 def _check_epsilon(epsilon: float, m: int) -> None:
@@ -213,15 +199,6 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
         raise ValueError(
             f"counts cover contexts up to {counts.max_len} symbols, need {params.depth}")
 
-    total = counts.total_positions
-    if total > 0:
-        root_dist = {sym: c / total for sym, c in counts.unigrams.items()}
-    elif m > 0:
-        root_dist = {sym: 1.0 / m for sym in range(m)}
-    else:
-        root_dist = {}
-
-    follows = counts.follows
     # The gates compare count ratios against float parameters. Doing that
     # in integer arithmetic on the parameters' exact binary values keeps
     # boundary cases (a ratio of exactly tau, a frequency of exactly
@@ -229,16 +206,31 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     pmin_n, pmin_d = params.p_min.as_integer_ratio()
     thr_n, thr_d = params.threshold.as_integer_ratio()
     tau_n, tau_d = params.tau.as_integer_ratio()
+    total = counts.total_positions
+    occurrences = counts.occurrences
+    # Successor rows of the candidates: each entry one symbol longer than
+    # a candidate is a successor count of it. A candidate's suffix is at
+    # least as frequent, so its row exists too; () collects the unigrams.
+    rows: dict[tuple[int, ...], dict[int, int]] = {(): {}}
+    for ctx, occ in occurrences.items():
+        if len(ctx) <= params.depth and occ * pmin_d >= pmin_n * total:
+            rows[ctx] = {}
+    for ctx, occ in occurrences.items():
+        row = rows.get(ctx[:-1])
+        if row is not None:
+            row[ctx[-1]] = occ
+    unigrams = rows[()]
+    # With no training data the root is uniform over the vocabulary.
+    root_dist = _conditional(unigrams) if total else {sym: 1.0 / m for sym in range(m)}
+    starts = counts.starts
+    rows[()] = {sym: c - starts.get(sym, 0) for sym, c in unigrams.items()
+                if c > starts.get(sym, 0)}
+
     kept: set[tuple[int, ...]] = set()
-    for ctx, occ in counts.occurrences.items():
-        if len(ctx) > params.depth:
+    for ctx, ctx_follows in rows.items():
+        if not (ctx and ctx_follows):
             continue
-        if occ * pmin_d < pmin_n * total:
-            continue
-        ctx_follows = follows.get(ctx)
-        if not ctx_follows:
-            continue
-        suffix_follows = follows.get(ctx[1:]) or {}
+        suffix_follows = rows[ctx[1:]]
         denom_p = sum(ctx_follows.values())
         denom_q = sum(suffix_follows.values())
         for sym in set(ctx_follows) | set(suffix_follows):
@@ -264,7 +256,7 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     root = PstNode(context=(), dist=root_dist)
     nodes: dict[tuple[int, ...], PstNode] = {(): root}
     for ctx in sorted(closed, key=lambda c: (len(c), c)):
-        node = PstNode(context=ctx, dist=_conditional(follows, ctx) or {})
+        node = PstNode(context=ctx, dist=_conditional(rows[ctx]))
         nodes[ctx] = node
         nodes[ctx[1:]].children[ctx[0]] = node
 

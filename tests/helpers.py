@@ -22,19 +22,23 @@ from flowlang.synth import MarkovSpec
 def brute_context_stats(sequences, max_len):
     """Count context occurrences and successor pairs by direct enumeration.
 
-    Returns (total_positions, n_sequences, unigrams, occurrences, follows)
-    where follows includes the empty context mapped to successor-pair
-    counts, mirroring the shape of ContextCounts.
+    Returns (total_positions, n_sequences, unigrams, occurrences, follows,
+    starts): occurrences of every substring of 1 to max_len symbols,
+    follows[ctx][sym] for contexts of up to max_len symbols (the empty
+    context included), and starts[sym], the sequences that begin with sym.
     """
     total = 0
     n_seq = 0
     unigrams: dict[int, int] = {}
     occurrences: dict[tuple[int, ...], int] = {}
     follows: dict[tuple[int, ...], dict[int, int]] = {(): {}}
+    starts: dict[int, int] = {}
     for seq in sequences:
         seq = list(seq)
         n_seq += 1
         total += len(seq)
+        if seq:
+            starts[seq[0]] = starts.get(seq[0], 0) + 1
         for sym in seq:
             unigrams[sym] = unigrams.get(sym, 0) + 1
         for pos in range(1, len(seq)):
@@ -47,7 +51,7 @@ def brute_context_stats(sequences, max_len):
                 if nxt < len(seq):
                     row = follows.setdefault(ctx, {})
                     row[seq[nxt]] = row.get(seq[nxt], 0) + 1
-    return total, n_seq, unigrams, occurrences, follows
+    return total, n_seq, unigrams, occurrences, follows, starts
 
 
 def brute_conditional(follows, ctx):

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowlang.cli
-from flowlang.cli import SCORES_HEADER, main
+from flowlang.cli import SCORES_HEADER, _parse_scores_csv, main
 from flowlang.flows import Label
-from flowlang.language import read_sequences
-from flowlang.pst import load_model
+from flowlang.language import Sequence, Vocabulary, read_sequences, write_sequences
+from flowlang.pst import load_model, score_sequence
 
 CSV_TEXT = """\
 ts,src_ip,src_port,dst_ip,dst_port,protocol,orig_bytes,resp_bytes,orig_pkts,resp_pkts,duration,label
@@ -314,6 +314,36 @@ class TestScore:
                          "--out", str(tmp_path / "s.csv"))
         assert code == 2
 
+    @settings(max_examples=25, deadline=None)
+    @given(seqs=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=40),
+                         min_size=2, max_size=8),
+           epsilon=st.sampled_from(["0.0", "0.0001", "0.01"]))
+    def test_output_reads_back(self, tmp_path_factory, seqs, epsilon):
+        work = tmp_path_factory.mktemp("roundtrip")
+        vocab = Vocabulary(f"t{i}_b{i}" for i in range(4))
+        sequences = [Sequence("a", "b", float(i), tuple(ids))
+                     for i, ids in enumerate(seqs)]
+        train_in, corpus = work / "train.txt", work / "corpus.txt"
+        model, scores = work / "m.json", work / "s.csv"
+        # Train on half the corpus so that unseen transitions score zero.
+        for path, subset in ((train_in, sequences[::2]), (corpus, sequences)):
+            with open(path, "w", encoding="utf-8") as fh:
+                write_sequences(subset, vocab, fh)
+        assert main(["train", "--in", str(train_in), "--out", str(model),
+                     "--depth", "3", "--epsilon", epsilon, "--no-timestamp"]) == 0
+        assert main(["score", "--model", str(model), "--in", str(corpus),
+                     "--out", str(scores), "--limit", "1.0"]) == 0
+        with open(scores, encoding="utf-8") as fh:
+            rows = _parse_scores_csv(fh)
+        with open(model, encoding="utf-8") as fh:
+            tree = load_model(fh)
+        assert len(rows) == len(sequences)
+        for i, seq in enumerate(sequences):
+            want = score_sequence(tree, [vocab.token_of(t) for t in seq.token_ids])
+            got = rows[f"{i:08d}"]
+            assert (got.likelihood, got.per_symbol_log_loss, got.zero_likelihood) \
+                == (want.likelihood, want.per_symbol_log_loss, want.zero_likelihood)
+
 
 class TestEval:
     def test_full_report(self, pipeline, tmp_path, capsys):
@@ -379,6 +409,20 @@ class TestEval:
                          "--out-dir", str(tmp_path / "r"))
         assert code == 3
 
+    def test_misspelled_label_is_format_error(self, pipeline, tmp_path, capsys):
+        # A label the reader mapped to unlabeled would drop out of the AUC.
+        lines = (pipeline / "corpus.txt").read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("attack\t"))
+        lines[row] = "atack" + lines[row][len("attack"):]
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(lines))
+        code, _, stderr = run(capsys, "eval", "--scores", str(pipeline / "scores.csv"),
+                              "--sequences", str(corpus),
+                              "--out-dir", str(tmp_path / "r"))
+        assert code == 3
+        assert stderr.startswith(f"format error: line {row + 1}: ")
+        assert not (tmp_path / "r").exists()
+
 
 def _with_row(pipeline, path, row):
     """Copy of the pipeline's scores CSV with its second data row replaced."""
@@ -399,11 +443,31 @@ class TestEvalRejectsBadRows:
         "0.25,2.0,true",
         "0.25,inf,false",
         "0.25,-0.5,false",
+        "0.0_1,0.1,false",
+        "\u0660.5,0.1,false",
+        " 0.5 ,0.1,false",
+        "0.5,1e0,false",
     ], ids=["nan-likelihood", "nan-loss", "likelihood-above-one",
             "negative-likelihood", "infinite-likelihood", "zero-flagged-false",
-            "nonzero-flagged-true", "infinite-loss-on-nonzero", "negative-loss"])
+            "nonzero-flagged-true", "infinite-loss-on-nonzero", "negative-loss",
+            "likelihood-underscore", "likelihood-arabic-indic", "likelihood-spaces",
+            "loss-exponent"])
     def test_format_error(self, pipeline, tmp_path, capsys, row):
         scores = _with_row(pipeline, tmp_path / "s.csv", row)
+        code, _, stderr = run(capsys, "eval", "--scores", str(scores),
+                              "--sequences", str(pipeline / "corpus.txt"),
+                              "--out-dir", str(tmp_path / "r"))
+        assert code == 3
+        assert "line 3" in stderr
+
+    @pytest.mark.parametrize("seq_id", ["1", "+0000001", "0000001 ", "\u0660" * 7 + "1"])
+    def test_id_not_as_written_is_format_error(self, pipeline, tmp_path, capsys,
+                                               seq_id):
+        lines = (pipeline / "scores.csv").read_text().splitlines()
+        assert lines[2].startswith("00000001,")
+        lines[2] = seq_id + lines[2][len("00000001"):]
+        scores = tmp_path / "s.csv"
+        scores.write_text("\n".join(lines) + "\n")
         code, _, stderr = run(capsys, "eval", "--scores", str(scores),
                               "--sequences", str(pipeline / "corpus.txt"),
                               "--out-dir", str(tmp_path / "r"))

@@ -1,0 +1,48 @@
+"""The README quickstart and words demo, pinned to their output bytes.
+
+Runs the documented commands with --no-timestamp and checks the summary
+lines the README shows and the sha256 of every file they write. Python
+3.10, 3.11 and 3.12 write the same bytes, so a changed digest means the
+program's output changed, not the interpreter.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from flowlang.cli import main
+
+DIGESTS = {
+    "corpus.txt": "d68454c2709d52257a91b42837ab92bf8f1b8ce6f689d97bb3b7bc53cd957281",
+    "model.json": "88d255484e8e024f1e893621987abfbe224ca50dd11083e74f38cedec46cc403",
+    "scores.csv": "7d151295294e5b3c7f18fdeb832387637d37db3bbcde92f357616c7baa00b99b",
+    "report/report.json": "02dce32ffd0bfe22b41d3badbc80ca8faa1b06a174b62f4a901fe2a88f2fd56d",
+    "words.tsv": "1a8ea6734f608fae4aebf6ed39794aaa38c9ac78519160dc260585acf6262e34",
+}
+
+
+def test_readme_quickstart_and_words(tmp_path, capsys):
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    corpus, model = tmp_path / "corpus.txt", tmp_path / "model.json"
+    scores, report = tmp_path / "scores.csv", tmp_path / "report"
+    out = run("synth", "--out", corpus, "--seed", 7, "--no-timestamp")
+    assert out == ["wrote 2000 sequences (95 attack, 1905 normal), alphabet 8"]
+    out = run("train", "--in", corpus, "--out", model, "--epsilon", "0.0001",
+              "--no-timestamp")
+    assert out == ["nodes: 645", "depth: 14", "vocabulary: 8 tokens",
+                   "trained on 2000 sequences, 100720 tokens"]
+    out = run("score", "--model", model, "--in", corpus, "--out", scores,
+              "--limit", "1e-30")
+    assert out[0] == "scored 2000 sequences: 94 flagged below 1e-30, 0 zero-likelihood"
+    assert out[1] == "flag 00001582"
+    assert len(out) == 1 + 94
+    out = run("eval", "--scores", scores, "--sequences", corpus, "--out-dir", report)
+    assert out == ["auc: 1.0", "examples: 95 attack, 1905 normal, 0 zero-likelihood",
+                   "precision@10: 1.0", "precision@50: 1.0", "precision@100: 0.95"]
+    out = run("words", "--out", tmp_path / "words.tsv")
+    assert out == ["scored 2578 words against a 427-node tree"]
+    for rel, digest in DIGESTS.items():
+        assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel

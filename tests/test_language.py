@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowlang.cli import SCORES_HEADER, _parse_scores_csv
 from flowlang.errors import FormatError
 from flowlang.flows import FlowRecord, Label
 from flowlang.language import (
@@ -94,6 +95,9 @@ class TestSequenceType:
             Sequence(ip_low="b", ip_high="a", window_start=0.0, token_ids=(0,))
         with pytest.raises(ValueError):
             Sequence(ip_low="a", ip_high="b", window_start=0.0, token_ids=())
+        for start in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Sequence(ip_low="a", ip_high="b", window_start=start, token_ids=(0,))
 
 
 class TestBucketing:
@@ -285,12 +289,30 @@ sequence_lists = st.lists(
         Sequence,
         ip_low=st.just("10.0.0.1"),
         ip_high=st.sampled_from(["10.0.0.2", "10.0.0.3"]),
-        window_start=st.floats(min_value=0, max_value=1e9, allow_nan=False),
-        token_ids=st.lists(st.integers(0, 3), min_size=1, max_size=8).map(tuple),
+        window_start=st.floats(allow_nan=False, allow_infinity=False),
+        token_ids=st.lists(st.integers(0, 11), min_size=1, max_size=8).map(tuple),
         label=st.sampled_from(list(Label)),
     ),
     max_size=15,
 )
+
+# Sequence rows, each spelling a number as write_sequences never does.
+NON_CANONICAL_ROWS = {
+    "id-plus-zero": "normal\ta\tb\t0.0\t+0",
+    "id-minus-zero": "normal\ta\tb\t0.0\t-0",
+    "id-underscore": "normal\ta\tb\t0.0\t0_0",
+    "id-arabic-indic": "normal\ta\tb\t0.0\t\u0660",
+    "id-leading-zero": "normal\ta\tb\t0.0\t00",
+    "id-double-space": "normal\ta\tb\t0.0\t0  0",
+    "start-nan": "normal\ta\tb\tnan\t0",
+    "start-inf": "normal\ta\tb\tinf\t0",
+    "start-overflow": "normal\ta\tb\t-1e400\t0",
+    "start-space": "normal\ta\tb\t 1.0\t0",
+    "start-int": "normal\ta\tb\t1\t0",
+    "label-typo": "atack\ta\tb\t0.0\t0",
+    "label-case": "Attack\ta\tb\t0.0\t0",
+    "label-empty": "\ta\tb\t0.0\t0",
+}
 
 
 class TestSequenceFile:
@@ -302,7 +324,7 @@ class TestSequenceFile:
     @settings(max_examples=150)
     @given(sequence_lists)
     def test_round_trip_identity(self, sequences):
-        vocab = Vocabulary([f"t{i}_b{i}" for i in range(4)])
+        vocab = Vocabulary([f"t{i}_b{i}" for i in range(12)])
         got_sequences, got_vocab = self.roundtrip(sequences, vocab)
         assert got_sequences == sequences
         assert got_vocab == vocab
@@ -342,6 +364,27 @@ class TestSequenceFile:
         with pytest.raises(FormatError, match="line 3"):
             read_sequences(io.StringIO(text))
 
+    @pytest.mark.parametrize("row", list(NON_CANONICAL_ROWS.values()),
+                             ids=list(NON_CANONICAL_ROWS))
+    def test_non_canonical_row_is_format_error(self, row):
+        good = "#vocab 1\n0\ttok_b1\nnormal\ta\tb\t0.0\t0\n"
+        assert len(read_sequences(io.StringIO(good))[0]) == 1
+        with pytest.raises(FormatError, match="line 3"):
+            read_sequences(io.StringIO(f"#vocab 1\n0\ttok_b1\n{row}\n"))
+
+    @pytest.mark.parametrize("lines", [
+        ["#vocab 02\n", "0\ta\n", "1\tb\n"],
+        ["#vocab 1\n", "00\ttok_b1\n"],
+        ["#vocab 1\n", "+0\ttok_b1\n"],
+    ], ids=["count-leading-zero", "id-leading-zero", "id-sign"])
+    def test_non_canonical_vocab_number_is_format_error(self, lines):
+        with pytest.raises(FormatError, match="line"):
+            read_sequences(lines)
+
+    def test_duplicate_vocab_token_is_format_error(self):
+        with pytest.raises(FormatError, match="line 3: duplicate vocabulary token"):
+            read_sequences(["#vocab 2\n", "0\ta\n", "1\ta\n"])
+
     @pytest.mark.parametrize("lines", [
         ["#vocab ²\n"],
         ["#vocab 1\n", "²\ttok_b1\n"],
@@ -350,17 +393,45 @@ class TestSequenceFile:
         with pytest.raises(FormatError, match="line"):
             read_sequences(lines)
 
-    @settings(max_examples=300)
+    @settings(max_examples=600)
     @given(text=st.text(alphabet=st.characters(blacklist_characters="\t\n\r"),
                         max_size=6)
-           | st.text(alphabet="019²³¹٣۵०①", min_size=1, max_size=4),
-           position=st.sampled_from(["count", "id"]))
+           | st.text(alphabet="019²³¹٣۵०①", min_size=1, max_size=4)
+           | st.text(alphabet="01.e+-_ infa\u0660", min_size=1, max_size=6)
+           | st.floats().map(repr)
+           | st.integers(-2, 2).map(str)
+           | st.integers(-2, 10**9).map("{:08d}".format),
+           position=st.sampled_from(["count", "id", "start", "token",
+                                     "score-id", "likelihood", "loss"]))
     def test_number_positions_parse_or_format_error(self, text, position):
-        if position == "count":
-            lines = [f"#vocab {text}\n", "0\ttok_b1\n"]
-        else:
-            lines = ["#vocab 1\n", f"{text}\ttok_b1\n"]
+        # A machine-written number field parses only in the spelling its
+        # writer gives the parsed value; anything else is a FormatError.
+        if position in ("score-id", "likelihood", "loss"):
+            fields = {"score-id": "00000000", "likelihood": "0.5", "loss": "1.0",
+                      position: text}
+            lines = [SCORES_HEADER + "\n", ",".join(fields.values()) + ",false\n"]
+            try:
+                ((seq_id, score),) = _parse_scores_csv(lines).items()
+            except FormatError:
+                return
+            assert {"score-id": f"{int(seq_id):08d}",
+                    "likelihood": repr(score.likelihood),
+                    "loss": repr(score.per_symbol_log_loss)}[position] == text
+            return
+        vocab = ["#vocab 1\n", "0\ttok_b1\n"]
+        lines = {
+            "count": [f"#vocab {text}\n", "0\ttok_b1\n"],
+            "id": ["#vocab 1\n", f"{text}\ttok_b1\n"],
+            "start": vocab + [f"normal\ta\tb\t{text}\t0\n"],
+            "token": vocab + [f"normal\ta\tb\t0.0\t{text}\n"],
+        }[position]
         try:
-            read_sequences(lines)
+            sequences, _ = read_sequences(lines)
         except FormatError:
-            pass
+            return
+        if position == "start":
+            assert repr(sequences[0].window_start) == text
+        elif position == "token":
+            assert " ".join(str(i) for i in sequences[0].token_ids) == text
+        else:
+            assert text == {"count": "1", "id": "0"}[position]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -64,35 +65,29 @@ class TestParams:
 
 class TestCountContexts:
     def test_hand_table(self):
-        counts = count_contexts([[A, A, B]], max_len=2)
+        counts = count_contexts([[A, A, B]], max_len=1)
         assert counts.total_positions == 3
         assert counts.n_sequences == 1
-        assert counts.unigrams == {A: 2, B: 1}
+        assert counts.starts == {A: 1}
         assert counts.occurrences == {(A,): 2, (B,): 1, (A, A): 1, (A, B): 1}
-        assert counts.follows[(A,)] == {A: 1, B: 1}
-        assert counts.follows[(A, A)] == {B: 1}
-        assert (B,) not in counts.follows
-        assert counts.follows[()] == {A: 1, B: 1}
 
     def test_empty_corpus(self):
         counts = count_contexts([], max_len=3)
         assert counts.total_positions == 0
         assert counts.n_sequences == 0
-        assert counts.unigrams == {}
+        assert counts.starts == {}
         assert counts.occurrences == {}
-        assert counts.follows == {}
 
     def test_single_symbol_sequences_have_no_follows(self):
         counts = count_contexts([[A], [A]], max_len=1)
         assert counts.occurrences == {(A,): 2}
-        assert counts.follows == {}
+        assert counts.starts == {A: 2}
         assert counts.total_positions == 2
 
     def test_max_len_zero_counts_only_marginals(self):
         counts = count_contexts([[A, B, A]], max_len=0)
-        assert counts.occurrences == {}
-        assert counts.unigrams == {A: 2, B: 1}
-        assert counts.follows == {(): {B: 1, A: 1}}
+        assert counts.occurrences == {(A,): 2, (B,): 1}
+        assert counts.starts == {A: 1}
 
     def test_rejects_negative_max_len(self):
         with pytest.raises(ValueError):
@@ -106,23 +101,28 @@ class TestCountContexts:
     )
     def test_matches_brute_enumeration(self, seqs, max_len):
         counts = count_contexts(seqs, max_len)
-        total, n_seq, unigrams, occurrences, follows = \
-            helpers.brute_context_stats(seqs, max_len)
+        total, n_seq, unigrams, occurrences, follows, starts = \
+            helpers.brute_context_stats(seqs, max_len + 1)
         assert counts.total_positions == total
         assert counts.n_sequences == n_seq
-        assert counts.unigrams == unigrams
+        assert counts.starts == starts
         assert counts.occurrences == occurrences
-        brute_follows = {ctx: d for ctx, d in follows.items() if d}
-        assert counts.follows == brute_follows
+        # The one table carries every successor count the oracle finds.
+        for ctx, row in follows.items():
+            if len(ctx) > max_len:
+                continue
+            for sym, c in row.items():
+                if ctx:
+                    assert counts.occurrences[ctx + (sym,)] == c
+                else:
+                    assert unigrams[sym] - starts.get(sym, 0) == c
 
 
 class TestMergeCounts:
     def test_identity(self):
         counts = count_contexts([[A, B, A]], max_len=2)
         merged = merge_counts(counts, ContextCounts(max_len=2))
-        assert merged.occurrences == counts.occurrences
-        assert merged.follows == counts.follows
-        assert merged.total_positions == counts.total_positions
+        assert merged == counts
 
     def test_max_len_mismatch(self):
         with pytest.raises(ValueError):
@@ -141,13 +141,14 @@ class TestMergeCounts:
         right = count_contexts(seqs[cut:], max_len)
         merged = merge_counts(left, right)
         swapped = merge_counts(right, left)
-        full = count_contexts(seqs, max_len)
+        total, n_seq, _, occurrences, _, starts = \
+            helpers.brute_context_stats(seqs, max_len + 1)
         for got in (merged, swapped):
-            assert got.total_positions == full.total_positions
-            assert got.n_sequences == full.n_sequences
-            assert got.unigrams == full.unigrams
-            assert got.occurrences == full.occurrences
-            assert got.follows == full.follows
+            assert got.max_len == max_len
+            assert got.total_positions == total
+            assert got.n_sequences == n_seq
+            assert got.starts == starts
+            assert got.occurrences == occurrences
 
 
 corpus_strategy = st.integers(2, 4).flatmap(
@@ -189,12 +190,15 @@ class TestBuildTree:
         # the tau=10 band; the zero conditionals (a after a, b after b)
         # fall below 1/tau, so both length-1 contexts stay in.
         params = PstParams(depth=2, p_min=0.0, threshold=0.0, tau=10.0)
-        counts = count_contexts([[A, B, A, B, A, B]], 2)
-        assert counts.follows[()] == {B: 3, A: 2}
+        seqs = [[A, B, A, B, A, B]]
+        counts = count_contexts(seqs, 2)
+        assert counts.occurrences[(A,)] - counts.starts[A] == 2
+        assert counts.occurrences[(B,)] - counts.starts.get(B, 0) == 3
         pst = build_tree(counts, params, helpers.small_vocab(2))
         contexts = {node.context for node in pst.iter_nodes()}
-        brute = helpers.brute_retained_contexts(
-            counts.total_positions, counts.occurrences, counts.follows, params)
+        total, _, _, occurrences, follows, _ = helpers.brute_context_stats(seqs, 2)
+        assert follows[()] == {B: 3, A: 2}
+        brute = helpers.brute_retained_contexts(total, occurrences, follows, params)
         expected = set(brute) | {()}
         for ctx in brute:
             for k in range(1, len(ctx)):
@@ -246,13 +250,20 @@ class TestBuildTree:
                                epsilon=0.0)
         counts = count_contexts(seqs, params.depth)
         pst = build_tree(counts, params, helpers.small_vocab(m))
-        brute = helpers.brute_retained_contexts(
-            counts.total_positions, counts.occurrences, counts.follows, params)
+        total, _, unigrams, occurrences, follows, _ = \
+            helpers.brute_context_stats(seqs, params.depth)
+        brute = helpers.brute_retained_contexts(total, occurrences, follows, params)
         expected = {()}
         for ctx in brute:
             for k in range(len(ctx)):
                 expected.add(ctx[k:])
         assert {node.context for node in pst.iter_nodes()} == expected
+        for node in pst.iter_nodes():
+            if node.context:
+                exact = helpers.brute_conditional(follows, node.context)
+            else:
+                exact = {sym: Fraction(c, total) for sym, c in unigrams.items()}
+            assert node.dist == {sym: float(p) for sym, p in exact.items()}
 
     @settings(max_examples=100, deadline=None)
     @given(corpus_strategy, params_strategy)
