@@ -204,7 +204,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     params = _pst_params(args)
     with open(args.input, encoding="utf-8") as fh:
         seqs, vocab = read_sequences(fh)
-    counts = count_contexts((s.token_ids for s in seqs), params.depth)
+    counts = count_contexts((s.token_ids for s in seqs), params.depth, params.p_min)
     tree = build_tree(counts, params, vocab)
     created = None if args.no_timestamp else _now_utc()
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -387,7 +387,7 @@ def cmd_words(args: argparse.Namespace) -> int:
     words = _load_wordlist(args.wordlist)
     vocab = Vocabulary()
     id_seqs = [tuple(vocab.add(ch) for ch in word) for word in words]
-    counts = count_contexts(id_seqs, params.depth)
+    counts = count_contexts(id_seqs, params.depth, params.p_min)
     tree = build_tree(counts, params, vocab)
     scored = sorted(
         ((word, score_sequence(tree, list(word))) for word in words),

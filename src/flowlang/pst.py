@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import add
 from typing import Iterable, Sequence as Seq, TextIO
 
 from .errors import CorruptModelError, ModelVersionError
@@ -57,15 +61,19 @@ class PstParams:
 
 @dataclass
 class ContextCounts:
-    """Mergeable count table for contexts up to max_len symbols.
+    """Count table for contexts up to max_len symbols.
 
-    occurrences[s] counts s as a contiguous substring, for every s of 1 to
-    max_len + 1 symbols, so context s is followed by sym
-    occurrences[s + (sym,)] times within a sequence. starts[sym] counts
-    the sequences that begin with sym: the empty context is followed by
-    sym at every position but a sequence's first, occurrences[(sym,)] -
-    starts[sym] times. The empty context itself occurs total_positions
-    times.
+    occurrences[s] counts s as a contiguous substring. It holds every
+    unigram, and every one-symbol extension s + (sym,) of a frequent
+    context s: one of at most max_len symbols that occurs in at least a
+    p_min fraction of all positions. So a frequent context s is followed
+    by sym occurrences[s + (sym,)] times within a sequence. starts[sym]
+    counts the sequences that begin with sym: the empty context is
+    followed by sym at every position but a sequence's first,
+    occurrences[(sym,)] - starts[sym] times. The empty context itself
+    occurs total_positions times. With p_min 0 every context is frequent,
+    so the table holds every substring of 1 to max_len + 1 symbols and
+    tables of disjoint corpora merge by summing (merge_counts).
     """
 
     max_len: int
@@ -73,46 +81,106 @@ class ContextCounts:
     n_sequences: int = 0
     starts: dict[int, int] = field(default_factory=dict)
     occurrences: dict[tuple[int, ...], int] = field(default_factory=dict)
+    p_min: float = 0.0
 
 
-def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int) -> ContextCounts:
-    """Count every substring of 1 to max_len + 1 symbols across sequences.
+def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
+                   p_min: float = 0.0) -> ContextCounts:
+    """Count, level by level, the contexts a tree with this p_min can use.
+
+    Occurrence counts are anti-monotone: a context occurs no more often
+    than its prefix, so only the extensions of a frequent context can be
+    frequent (Ron, Singer & Tishby, The Power of Amnesia, 1996). Level k
+    counts the extensions of the frequent contexts of level k - 1, at the
+    positions where those occur, and only the positions whose extension
+    is frequent go on to level k + 1.
 
     Args:
-        id_sequences: iterable of token-id sequences; sequences are never
-            concatenated, so no context spans a sequence boundary.
-        max_len: longest context length to count; one more symbol is
-            counted so every context's successor counts are in the table
-            (0 counts only unigrams).
+        id_sequences: iterable of token-id sequences, ids >= 0; a sentinel
+            follows each sequence, so no context spans a boundary.
+        max_len: longest context length to extend; one more symbol is
+            counted so every frequent context's successor counts are in
+            the table (0 counts only unigrams).
+        p_min: frequency gate, as in PstParams; 0 keeps every context.
 
     Returns:
-        ContextCounts covering every observed context of length <= max_len
-        and its successors.
+        ContextCounts with every unigram and every one-symbol extension of
+        a frequent context of at most max_len symbols.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    counts = ContextCounts(max_len=max_len)
+    if not 0.0 <= p_min <= 1.0:
+        raise ValueError(f"p_min must be in [0, 1], got {p_min}")
+    counts = ContextCounts(max_len=max_len, p_min=p_min)
     starts = counts.starts
     occurrences = counts.occurrences
 
+    # The corpus as one flat list, each sequence followed by a sentinel
+    # slot that is set to m, one past the largest id, once m is known.
+    flat: list[int] = []
+    ends: list[int] = []
     for raw in id_sequences:
-        ids = tuple(raw)
-        n = len(ids)
-        counts.n_sequences += 1
-        counts.total_positions += n
-        if n:
-            starts[ids[0]] = starts.get(ids[0], 0) + 1
-        for length in range(1, max_len + 2):
-            for j in range(n - length + 1):
-                ctx = ids[j:j + length]
-                occurrences[ctx] = occurrences.get(ctx, 0) + 1
+        begin = len(flat)
+        flat.extend(raw)
+        if len(flat) > begin:
+            starts[flat[begin]] = starts.get(flat[begin], 0) + 1
+        ends.append(len(flat))
+        flat.append(0)
+    lowest = min(flat, default=0)
+    if lowest < 0:
+        raise ValueError(f"token ids must be >= 0, got {lowest}")
+    counts.n_sequences = len(ends)
+    counts.total_positions = total = len(flat) - len(ends)
+    m = max(flat, default=0) + 1
+    for end in ends:
+        flat[end] = m
+
+    # A live position j starts a frequent context of length - 1 symbols
+    # and carries its dense rank (from 1, so a kept rank is never falsy)
+    # times stride; adding the symbol after the context packs the
+    # extension into one integer key, with no tuple per position. Level 1
+    # extends the empty context, rank 1, at every position.
+    stride = m + 1
+    pmin_n, pmin_d = p_min.as_integer_ratio()
+    contexts: list = [None, ()]
+    ranks: Iterable[int] = repeat(stride, len(flat))
+    positions: Iterable[int] = range(len(flat))
+    for length in range(1, max_len + 2):
+        shifted = flat[length - 1:]
+        keys = list(map(add, ranks, map(shifted.__getitem__, positions)))
+        del shifted
+        grow = length <= max_len
+        frequent: dict[int, int] = {}
+        extended: list = [None]
+        for key, occ in Counter(keys).items():
+            rank, sym = divmod(key, stride)
+            if sym == m:
+                continue
+            ctx = contexts[rank] + (sym,)
+            occurrences[ctx] = occ
+            if grow and occ * pmin_d >= pmin_n * total:
+                frequent[key] = len(extended) * stride
+                extended.append(ctx)
+        if not frequent:
+            break
+        selected = list(map(frequent.get, keys))
+        del keys
+        ranks = list(filter(None, selected))
+        positions = array("q", compress(positions, selected))
+        del selected
+        contexts = extended
     return counts
 
 
 def merge_counts(a: ContextCounts, b: ContextCounts) -> ContextCounts:
-    """Entrywise sum of two count tables; commutative and associative."""
+    """Entrywise sum of two exhaustive count tables; commutative and
+    associative. A gate applied to one shard is not the gate of the whole
+    corpus, so a table counted with p_min > 0 is refused."""
     if a.max_len != b.max_len:
         raise ValueError(f"max_len mismatch: {a.max_len} vs {b.max_len}")
+    if a.p_min or b.p_min:
+        raise ValueError(
+            f"cannot merge tables counted with p_min > 0: {a.p_min}, {b.p_min}")
     merged = ContextCounts(
         max_len=a.max_len,
         total_positions=a.total_positions + b.total_positions,
@@ -191,13 +259,17 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     >= tau in either direction (a zero suffix conditional with a positive
     numerator counts as an infinite ratio). Retained contexts are closed
     under suffixes. The root always exists and holds the order-0
-    (marginal) distribution.
+    (marginal) distribution. The counts must cover depth symbols, be
+    gated at no more than p_min, and hold only ids of vocab.
     """
     m = len(vocab)
     _check_epsilon(params.epsilon, m)
     if counts.max_len < params.depth:
         raise ValueError(
             f"counts cover contexts up to {counts.max_len} symbols, need {params.depth}")
+    if params.p_min < counts.p_min:
+        raise ValueError(
+            f"counts keep contexts of frequency >= {counts.p_min}, need {params.p_min}")
 
     # The gates compare count ratios against float parameters. Doing that
     # in integer arithmetic on the parameters' exact binary values keeps
@@ -220,6 +292,10 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
         if row is not None:
             row[ctx[-1]] = occ
     unigrams = rows[()]
+    if unigrams and not (min(unigrams) >= 0 and max(unigrams) < m):
+        raise ValueError(
+            f"counted symbols {min(unigrams)}..{max(unigrams)} fall outside "
+            f"the {m}-token vocabulary")
     # With no training data the root is uniform over the vocabulary.
     root_dist = _conditional(unigrams) if total else {sym: 1.0 / m for sym in range(m)}
     starts = counts.starts

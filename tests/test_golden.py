@@ -1,7 +1,9 @@
 """The README quickstart and words demo, pinned to their output bytes.
 
 Runs the documented commands with --no-timestamp and checks the summary
-lines the README shows and the sha256 of every file they write. Python
+lines the README shows and the sha256 of every file they write. One more
+`train --p-min 0 --depth 5` pins the exhaustive count: with p_min 0
+every context is frequent, so counting keeps every substring. Python
 3.10, 3.11 and 3.12 write the same bytes, so a changed digest means the
 program's output changed, not the interpreter.
 """
@@ -15,6 +17,7 @@ from flowlang.cli import main
 DIGESTS = {
     "corpus.txt": "d68454c2709d52257a91b42837ab92bf8f1b8ce6f689d97bb3b7bc53cd957281",
     "model.json": "88d255484e8e024f1e893621987abfbe224ca50dd11083e74f38cedec46cc403",
+    "model-p0-d5.json": "895d3c87d20596f2e055e9949415ee3dc4f761625291526245e348fe75e64f2d",
     "scores.csv": "7d151295294e5b3c7f18fdeb832387637d37db3bbcde92f357616c7baa00b99b",
     "report/report.json": "02dce32ffd0bfe22b41d3badbc80ca8faa1b06a174b62f4a901fe2a88f2fd56d",
     "words.tsv": "1a8ea6734f608fae4aebf6ed39794aaa38c9ac78519160dc260585acf6262e34",
@@ -33,6 +36,10 @@ def test_readme_quickstart_and_words(tmp_path, capsys):
     out = run("train", "--in", corpus, "--out", model, "--epsilon", "0.0001",
               "--no-timestamp")
     assert out == ["nodes: 645", "depth: 14", "vocabulary: 8 tokens",
+                   "trained on 2000 sequences, 100720 tokens"]
+    out = run("train", "--in", corpus, "--out", tmp_path / "model-p0-d5.json",
+              "--p-min", 0, "--depth", 5, "--no-timestamp")
+    assert out == ["nodes: 1165", "depth: 5", "vocabulary: 8 tokens",
                    "trained on 2000 sequences, 100720 tokens"]
     out = run("score", "--model", model, "--in", corpus, "--out", scores,
               "--limit", "1e-30")

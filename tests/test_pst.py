@@ -27,14 +27,15 @@ from flowlang.pst import (
     save_model,
     score_sequence,
 )
-from flowlang.synth import GenConfig, demo_spec_pair, generate_corpus
+from flowlang.synth import (
+    GenConfig, corpus_to_sequences, demo_spec_pair, generate_corpus)
 
 A, B = 0, 1
 
 
 def train(id_sequences, params, vocab_size):
     vocab = helpers.small_vocab(vocab_size)
-    counts = count_contexts(id_sequences, params.depth)
+    counts = count_contexts(id_sequences, params.depth, params.p_min)
     return build_tree(counts, params, vocab)
 
 
@@ -93,6 +94,61 @@ class TestCountContexts:
         with pytest.raises(ValueError):
             count_contexts([], max_len=-1)
 
+    @pytest.mark.parametrize("seqs", [[[A, -1]], [[-1]], [[B], [A, -7, B]]])
+    def test_rejects_negative_id(self, seqs):
+        # -1 would index the last slot of a log2 row: another symbol's
+        # probability, a plausible but wrong score.
+        with pytest.raises(ValueError, match="must be >= 0"):
+            count_contexts(seqs, max_len=2)
+
+    @pytest.mark.parametrize("p_min", [-0.1, 1.5, math.nan])
+    def test_rejects_p_min_outside_unit_interval(self, p_min):
+        with pytest.raises(ValueError):
+            count_contexts([[A, B]], max_len=1, p_min=p_min)
+
+    def test_gate_drops_extensions_of_rare_contexts(self):
+        # 8 positions; at p_min 0.25 a context needs 2 occurrences. (B,)
+        # occurs once, so none of its extensions is counted.
+        counts = count_contexts([[A, A, A, B], [A, A, A, A]], max_len=2, p_min=0.25)
+        assert counts.p_min == 0.25
+        assert counts.occurrences == {
+            (A,): 7, (B,): 1,
+            (A, A): 5, (A, B): 1,
+            (A, A, A): 3, (A, A, B): 1,
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 3), min_size=0, max_size=14),
+                 min_size=0, max_size=8),
+        st.integers(0, 5),
+        st.sampled_from([0.0, 0.0001, 0.05, 0.1, 0.2, 0.5, 1.0]),
+    )
+    def test_gated_table_matches_oracle(self, seqs, max_len, p_min):
+        counts = count_contexts(seqs, max_len, p_min)
+        total, n_seq, _, occurrences, _, starts = \
+            helpers.brute_context_stats(seqs, max_len + 1)
+        assert (counts.total_positions, counts.n_sequences, counts.starts) == \
+            (total, n_seq, starts)
+        for ctx, occ in counts.occurrences.items():
+            assert occurrences[ctx] == occ
+        frequent = {ctx for ctx, occ in occurrences.items()
+                    if len(ctx) <= max_len and Fraction(occ, total) >= Fraction(p_min)}
+        # Every unigram, and every one-symbol extension of a frequent
+        # context; nothing else.
+        expected = {ctx for ctx in occurrences
+                    if len(ctx) == 1 or ctx[:-1] in frequent}
+        assert set(counts.occurrences) == expected
+
+    def test_gated_quickstart_table_is_small(self):
+        corpus = generate_corpus(*demo_spec_pair(8), GenConfig(2000, 30, 70, 0.05, 7))
+        id_seqs = [s.token_ids for s in corpus_to_sequences(corpus, 8)[0]]
+        params = PstParams()
+        gated = count_contexts(id_seqs, params.depth, params.p_min)
+        exhaustive = count_contexts(id_seqs, params.depth)
+        assert gated.total_positions == exhaustive.total_positions == 100720
+        assert 4 * len(gated.occurrences) <= len(exhaustive.occurrences)
+
     @settings(max_examples=100)
     @given(
         st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=12),
@@ -127,6 +183,14 @@ class TestMergeCounts:
     def test_max_len_mismatch(self):
         with pytest.raises(ValueError):
             merge_counts(ContextCounts(max_len=1), ContextCounts(max_len=2))
+
+    def test_refuses_gated_tables(self):
+        # A gate applied to one shard is not the gate of the whole corpus.
+        exhaustive = count_contexts([[A, B, A]], max_len=2)
+        gated = count_contexts([[A, A, B]], max_len=2, p_min=0.5)
+        for pair in ((exhaustive, gated), (gated, exhaustive), (gated, gated)):
+            with pytest.raises(ValueError, match="p_min"):
+                merge_counts(*pair)
 
     @settings(max_examples=100)
     @given(
@@ -240,6 +304,45 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree(counts, PstParams(depth=3), helpers.small_vocab(2))
 
+    def test_counts_must_not_be_gated_above_p_min(self):
+        # The table lacks the candidates between the two gates.
+        counts = count_contexts([[A, B, A, A]], 2, p_min=0.25)
+        with pytest.raises(ValueError, match="frequency"):
+            build_tree(counts, PstParams(depth=2, p_min=0.1), helpers.small_vocab(2))
+        build_tree(counts, PstParams(depth=2, p_min=0.25), helpers.small_vocab(2))
+        build_tree(counts, PstParams(depth=1, p_min=0.5), helpers.small_vocab(2))
+
+    def test_symbol_outside_vocabulary_rejected(self):
+        # Such a tree saved, then failed to load, and crashed scoring.
+        counts = count_contexts([[0, 5, 0, 5]], 1)
+        with pytest.raises(ValueError, match="vocabulary"):
+            build_tree(counts, PstParams(depth=1), Vocabulary(["a", "b"]))
+
+    def test_negative_symbol_in_hand_made_counts_rejected(self):
+        counts = ContextCounts(max_len=0, total_positions=2, n_sequences=1,
+                               starts={0: 1}, occurrences={(0,): 1, (-1,): 1})
+        with pytest.raises(ValueError, match="vocabulary"):
+            build_tree(counts, PstParams(depth=0), Vocabulary(["a", "b"]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_strategy, params_strategy, st.data())
+    def test_gated_and_exhaustive_counts_build_same_model(self, corpus, params, data):
+        m, seqs = corpus
+        if params.epsilon >= 1.0 / m:
+            params = PstParams(depth=params.depth, p_min=params.p_min,
+                               threshold=params.threshold, tau=params.tau,
+                               epsilon=0.0)
+        gate = data.draw(st.sampled_from(
+            [p for p in (0.0, 0.0001, 0.01, 0.1, 0.2) if p <= params.p_min]))
+        vocab = helpers.small_vocab(m)
+        written = []
+        for counts in (count_contexts(seqs, params.depth),
+                       count_contexts(seqs, params.depth, gate)):
+            sink = io.StringIO()
+            save_model(build_tree(counts, params, vocab), sink)
+            written.append(sink.getvalue())
+        assert written[0] == written[1]
+
     @settings(max_examples=100, deadline=None)
     @given(corpus_strategy, params_strategy)
     def test_retention_matches_brute_force(self, corpus, params):
@@ -248,7 +351,7 @@ class TestBuildTree:
             params = PstParams(depth=params.depth, p_min=params.p_min,
                                threshold=params.threshold, tau=params.tau,
                                epsilon=0.0)
-        counts = count_contexts(seqs, params.depth)
+        counts = count_contexts(seqs, params.depth, params.p_min)
         pst = build_tree(counts, params, helpers.small_vocab(m))
         total, _, unigrams, occurrences, follows, _ = \
             helpers.brute_context_stats(seqs, params.depth)
