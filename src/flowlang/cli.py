@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError, FormatError
-from .evaluate import RANKINGS, EvalReport, evaluate
+from .evaluate import DEFAULT_PRECISION_NS, RANKINGS, EvalReport, evaluate
 from .flows import Label, parse_labeled_csv, parse_zeek_conn, sniff_format
 from .language import (
     SCHEME_KINDS,
@@ -81,14 +81,15 @@ def _precision_list(text: str) -> tuple[int, ...]:
 
 
 def _add_pst_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--depth", type=int, default=14, help="max context length")
-    sp.add_argument("--p-min", type=float, default=0.0001,
+    defaults = PstParams()
+    sp.add_argument("--depth", type=int, default=defaults.depth, help="max context length")
+    sp.add_argument("--p-min", type=float, default=defaults.p_min,
                     help="min context frequency for candidacy")
-    sp.add_argument("--threshold", type=float, default=0.0005,
+    sp.add_argument("--threshold", type=float, default=defaults.threshold,
                     help="min conditional probability in the retention test")
-    sp.add_argument("--tau", type=float, default=10.0,
+    sp.add_argument("--tau", type=float, default=defaults.tau,
                     help="retention ratio against the suffix context")
-    sp.add_argument("--epsilon", type=float, default=0.0,
+    sp.add_argument("--epsilon", type=float, default=defaults.epsilon,
                     help="uniform smoothing floor")
 
 
@@ -109,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="input", required=True,
                     help="Zeek conn log or labeled CSV (auto-detected)")
     sp.add_argument("--out", dest="output", required=True)
-    sp.add_argument("--scheme", choices=SCHEME_KINDS, default="proto-bytes")
-    sp.add_argument("--bucket-width", type=int, default=10)
+    sp.add_argument("--scheme", choices=SCHEME_KINDS, default=TokenScheme().kind)
+    sp.add_argument("--bucket-width", type=int, default=TokenScheme().bucket_width)
     sp.add_argument("--session", type=_session_policy, default=SessionPolicy(),
                     metavar="{hour,day,week,gap:SECONDS}")
     sp.add_argument("--min-length", type=int, default=1,
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rank", choices=RANKINGS, default="logloss")
     sp.add_argument("--zero-policy", choices=tuple(_ZERO_POLICIES), default="exclude")
     sp.add_argument("--bins", type=int, default=20)
-    sp.add_argument("--precision-at", type=_precision_list, default=(10, 50, 100),
+    sp.add_argument("--precision-at", type=_precision_list, default=DEFAULT_PRECISION_NS,
                     metavar="N[,N...]")
     sp.set_defaults(run=cmd_eval)
 
@@ -260,7 +261,8 @@ def _parse_scores_csv(lines: Iterable[str]) -> dict[str, Score]:
         if zero_text not in ("true", "false"):
             raise FormatError(f"line {lineno}: bad zero_likelihood {zero_text!r}")
         try:
-            if _seq_id(int(seq_id)) != seq_id:
+            index = int(seq_id)
+            if index < 0 or _seq_id(index) != seq_id:
                 raise ValueError(seq_id)
             likelihood = canonical_float(lik_text)
             loss = canonical_float(loss_text)
@@ -405,18 +407,10 @@ def cmd_words(args: argparse.Namespace) -> int:
     return 0
 
 
-_INPUT_FIELDS = ("input", "model", "scores", "sequences", "wordlist")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in _INPUT_FIELDS:
-            path = getattr(args, name, None)
-            if path is not None and not Path(path).is_file():
-                print(f"error: input file not found: {path}", file=sys.stderr)
-                return 2
         code = args.run(args)
         sys.stdout.flush()
         return code

@@ -29,6 +29,12 @@ class ScoredExample:
     label: Label
     zero_likelihood: bool = False
 
+    def __post_init__(self):
+        # NaN compares false both ways, so it would sort anywhere and turn
+        # every rank statistic into a plausible but wrong number.
+        if math.isnan(self.anomaly_score):
+            raise ValueError(f"NaN anomaly score for {self.id!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class RocPoint:

@@ -113,10 +113,7 @@ class IngestStats:
 def _parse_float(text: str) -> float:
     if text in _MISSING:
         return 0.0
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value: {text!r}")
-    return value
+    return float(text)
 
 
 def _parse_count(text: str) -> int:
@@ -211,24 +208,23 @@ def parse_zeek_conn(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats
 
 def _csv_rows(lines: Iterable[str]) -> Iterator[_Row]:
     reader = csv.reader(lines)
-    header = next(reader, None)
+    rows = filter(None, reader)
+    header = next(rows, None)
     if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise FormatError(f"missing or malformed CSV header, expected {','.join(CSV_HEADER)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for row in rows:
         if len(row) != len(CSV_HEADER):
-            yield lineno, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+            yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
         else:
-            yield lineno, [cell.strip() for cell in row]
+            yield reader.line_num, [cell.strip() for cell in row]
 
 
 def parse_labeled_csv(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats]:
     """Parse the canonical labeled flow CSV into flow records.
 
     Args:
-        lines: an iterable of text lines whose first line is exactly the
-            canonical header (see CSV_HEADER). Labels other than
+        lines: an iterable of text lines whose first non-empty line is
+            exactly the canonical header (see CSV_HEADER). Labels other than
             normal/attack (case-insensitive) become UNLABELED.
 
     Returns:

@@ -12,7 +12,7 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress, repeat
 from operator import add
 from typing import Iterable, Sequence as Seq, TextIO
@@ -84,6 +84,14 @@ class ContextCounts:
     p_min: float = 0.0
 
 
+def _min_count(p_min: float, total: int) -> int:
+    """The fewest occurrences that make a context frequent among total
+    positions: the least integer occ with occ / total >= p_min, computed
+    on p_min's exact binary value so no division rounds the gate."""
+    n, d = p_min.as_integer_ratio()
+    return -(-n * total // d)
+
+
 def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
                    p_min: float = 0.0) -> ContextCounts:
     """Count, level by level, the contexts a tree with this p_min can use.
@@ -141,7 +149,7 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
     # extension into one integer key, with no tuple per position. Level 1
     # extends the empty context, rank 1, at every position.
     stride = m + 1
-    pmin_n, pmin_d = p_min.as_integer_ratio()
+    min_count = _min_count(p_min, total)
     contexts: list = [None, ()]
     ranks: Iterable[int] = repeat(stride, len(flat))
     positions: Iterable[int] = range(len(flat))
@@ -158,7 +166,7 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
                 continue
             ctx = contexts[rank] + (sym,)
             occurrences[ctx] = occ
-            if grow and occ * pmin_d >= pmin_n * total:
+            if grow and occ >= min_count:
                 frequent[key] = len(extended) * stride
                 extended.append(ctx)
         if not frequent:
@@ -275,17 +283,17 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     # in integer arithmetic on the parameters' exact binary values keeps
     # boundary cases (a ratio of exactly tau, a frequency of exactly
     # p_min) deterministic instead of at the mercy of division rounding.
-    pmin_n, pmin_d = params.p_min.as_integer_ratio()
+    total = counts.total_positions
+    min_count = _min_count(params.p_min, total)
     thr_n, thr_d = params.threshold.as_integer_ratio()
     tau_n, tau_d = params.tau.as_integer_ratio()
-    total = counts.total_positions
     occurrences = counts.occurrences
     # Successor rows of the candidates: each entry one symbol longer than
     # a candidate is a successor count of it. A candidate's suffix is at
     # least as frequent, so its row exists too; () collects the unigrams.
     rows: dict[tuple[int, ...], dict[int, int]] = {(): {}}
     for ctx, occ in occurrences.items():
-        if len(ctx) <= params.depth and occ * pmin_d >= pmin_n * total:
+        if len(ctx) <= params.depth and occ >= min_count:
             rows[ctx] = {}
     for ctx, occ in occurrences.items():
         row = rows.get(ctx[:-1])
@@ -464,13 +472,7 @@ def save_model(pst: Pst, sink: TextIO, created: str | None = None) -> None:
     nodes = sorted(pst.iter_nodes(), key=lambda nd: (len(nd.context), nd.context))
     doc: dict = {
         "version": MODEL_VERSION,
-        "params": {
-            "depth": pst.params.depth,
-            "p_min": pst.params.p_min,
-            "threshold": pst.params.threshold,
-            "tau": pst.params.tau,
-            "epsilon": pst.params.epsilon,
-        },
+        "params": asdict(pst.params),
         "vocab": pst.vocab.tokens(),
         "training": {
             "n_sequences": pst.n_train_sequences,

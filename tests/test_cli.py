@@ -6,6 +6,7 @@ subprocess test confirms the module entry point is wired up.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -110,10 +111,25 @@ class TestPrepare:
         assert "format error" in stderr
 
     def test_missing_input(self, tmp_path, capsys):
-        code, _, stderr = run(capsys, "prepare", "--in", str(tmp_path / "nope"),
+        missing = tmp_path / "nope"
+        code, _, stderr = run(capsys, "prepare", "--in", str(missing),
                               "--out", str(tmp_path / "o"))
         assert code == 2
-        assert "not found" in stderr
+        assert os.strerror(errno.ENOENT) in stderr
+        assert repr(str(missing)) in stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_leading_blank_lines(self, tmp_path, capsys):
+        outputs = []
+        for name, text in (("plain", CSV_TEXT), ("blank", "\n\n" + CSV_TEXT)):
+            src = tmp_path / f"{name}.csv"
+            src.write_text(text)
+            out = tmp_path / f"{name}.seqs"
+            code, stdout, _ = run(capsys, "prepare", "--in", str(src), "--out", str(out),
+                                  "--no-timestamp")
+            assert code == 0
+            outputs.append((stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_bad_session_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -460,7 +476,8 @@ class TestEvalRejectsBadRows:
         assert code == 3
         assert "line 3" in stderr
 
-    @pytest.mark.parametrize("seq_id", ["1", "+0000001", "0000001 ", "\u0660" * 7 + "1"])
+    @pytest.mark.parametrize("seq_id", ["1", "+0000001", "0000001 ", "\u0660" * 7 + "1",
+                                        "-0000001"])
     def test_id_not_as_written_is_format_error(self, pipeline, tmp_path, capsys,
                                                seq_id):
         lines = (pipeline / "scores.csv").read_text().splitlines()
@@ -589,6 +606,45 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "wrote 5 sequences" in proc.stdout
     assert out.exists()
+
+
+def _output_bytes(path):
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("argv, piped", [
+    (["prepare", "--in", "{piped}", "--out", "{out}", "--no-timestamp"], "flows"),
+    (["train", "--in", "{piped}", "--out", "{out}", "--epsilon", "0.001",
+      "--no-timestamp"], "corpus"),
+    (["score", "--model", "{piped}", "--in", "{corpus}", "--out", "{out}"], "model"),
+    (["score", "--model", "{model}", "--in", "{piped}", "--out", "{out}"], "corpus"),
+    (["eval", "--scores", "{piped}", "--sequences", "{corpus}", "--out-dir", "{out}"],
+     "scores"),
+    (["eval", "--scores", "{scores}", "--sequences", "{piped}", "--out-dir", "{out}"],
+     "corpus"),
+    (["words", "--wordlist", "{piped}", "--out", "{out}"], "words"),
+], ids=["prepare", "train", "score-model", "score-in", "eval-scores",
+        "eval-sequences", "words"])
+def test_input_from_pipe(pipeline, tmp_path, argv, piped):
+    # Any input may be a pipe: /dev/stdin on a pipe is not a regular file,
+    # and the command must write the same bytes as with the file's path.
+    files = {"model": pipeline / "model.json", "corpus": pipeline / "corpus.txt",
+             "scores": pipeline / "scores.csv", "flows": tmp_path / "flows.csv",
+             "words": tmp_path / "words.txt"}
+    files["flows"].write_text(CSV_TEXT)
+    files["words"].write_text("abc\nabd\nbcd\n")
+    results = []
+    for name, source in (("path", files[piped]), ("pipe", "/dev/stdin")):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowlang",
+             *(a.format(piped=source, out=out, **files) for a in argv)],
+            input=files[piped].read_bytes(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        results.append((proc.stdout, _output_bytes(out)))
+    assert results[0] == results[1]
 
 
 class TestExitCodes:

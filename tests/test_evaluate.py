@@ -295,6 +295,20 @@ class TestEvaluate:
         assert kept.n_zero_likelihood == dropped.n_zero_likelihood == 1
         assert kept.histogram.overflow_attack == 1
 
+    def test_nan_score_refused(self):
+        # Perfectly separated, so the AUC is 1.0; a NaN loss on one attack
+        # would sort anywhere and make it a plausible but wrong 0.5.
+        nan_loss = Score(0.5, -1.0, math.nan, False, 1)
+        triples = [("n1", ok_score(1.0), Label.NORMAL),
+                   ("n2", ok_score(1.5), Label.NORMAL),
+                   ("a1", ok_score(5.0), Label.ATTACK),
+                   ("a2", nan_loss, Label.ATTACK)]
+        assert evaluate(triples[:3]).auc == 1.0
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate(triples)
+        with pytest.raises(ValueError, match="NaN"):
+            ex(0, math.nan)
+
     def test_single_class_raises(self):
         triples = [("a", ok_score(1.0), Label.NORMAL),
                    ("b", ok_score(2.0), Label.NORMAL)]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import ipaddress
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +216,21 @@ class TestParseLabeledCsv:
         assert flow.orig_bytes == 0
         assert flow.resp_pkts == 0
         assert flow.duration == 0.0
+
+    def test_header_after_blank_lines(self, caplog):
+        # The header is the first non-empty row, as sniff_format reads it,
+        # and a rejected row is logged at its physical line, counting every
+        # line of a quoted multi-line cell.
+        good = "1.5,10.0.0.1,1024,10.0.0.2,80,tcp,10,20,1,2,0.25,attack\n"
+        lines = ["\n", "\n", self.HEADER, good, "\n",
+                 '"1.5\n",10.0.0.1,70000,10.0.0.2,80,tcp,1,1,1,1,0.1,"nor\n', 'mal"\n',
+                 "x\n"]
+        with caplog.at_level(logging.DEBUG, logger="flowlang.flows"):
+            (flow,), stats = parse_labeled_csv(lines)
+        assert flow.label is Label.ATTACK
+        assert (stats.rows_read, stats.rows_rejected) == (3, 2)
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == \
+            ["rejected line 7", "rejected line 8"]
 
     def test_bad_rows_rejected_not_fatal(self):
         lines = [

@@ -18,6 +18,7 @@ from flowlang.pst import (
     PstParams,
     Pst,
     Score,
+    _min_count,
     build_tree,
     count_contexts,
     flag_anomalies,
@@ -105,6 +106,16 @@ class TestCountContexts:
     def test_rejects_p_min_outside_unit_interval(self, p_min):
         with pytest.raises(ValueError):
             count_contexts([[A, B]], max_len=1, p_min=p_min)
+
+    @settings(max_examples=300)
+    @given(st.floats(0.0, 1.0) | st.sampled_from([0.0001, 0.1, 1 / 3, 5e-324, 1e-310]),
+           st.integers(1, 10**9))
+    def test_min_count_is_least_frequent_count(self, p_min, total):
+        need = _min_count(p_min, total)
+        assert Fraction(need, total) >= Fraction(p_min)
+        assert need == 0 or Fraction(need - 1, total) < Fraction(p_min)
+        # With no positions at all, every context passes the gate.
+        assert _min_count(p_min, 0) == 0
 
     def test_gate_drops_extensions_of_rare_contexts(self):
         # 8 positions; at p_min 0.25 a context needs 2 occurrences. (B,)
