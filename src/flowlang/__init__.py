@@ -24,6 +24,7 @@ from .pst import (
     flag_anomalies,
     load_model,
     lookup_context,
+    make_tree,
     merge_counts,
     save_model,
     score_sequence,

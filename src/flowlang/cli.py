@@ -277,7 +277,7 @@ def _parse_scores_csv(lines: Iterable[str]) -> dict[str, Score]:
             raise FormatError(
                 f"line {lineno}: zero_likelihood {zero_text} disagrees with "
                 f"likelihood {likelihood!r}")
-        if loss < 0.0 or (loss == math.inf and not zero):
+        if loss < 0.0 or (loss == math.inf) != zero:
             raise FormatError(f"line {lineno}: bad per_symbol_log_loss {loss!r}")
         log2_lik = -math.inf if likelihood == 0.0 else math.log2(likelihood)
         rows[seq_id] = Score(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import groupby
 from typing import Iterable
 
@@ -154,16 +155,26 @@ def histogram(examples: list[ScoredExample], n_bins: int) -> Histogram:
     scores; the final bin is closed on the right."""
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    finite = [e for e in examples if math.isfinite(e.anomaly_score)]
-    if finite:
-        lo = min(e.anomaly_score for e in finite)
-        hi = max(e.anomaly_score for e in finite)
-        if lo == hi:
-            hi = lo + 1.0
-    else:
-        lo, hi = 0.0, 1.0
+    finite = [e.anomaly_score for e in examples if math.isfinite(e.anomaly_score)]
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
+    if lo == hi:
+        hi = lo + 1.0
     width = (hi - lo) / n_bins
-    edges = [lo + i * width for i in range(n_bins)] + [hi]
+    if 0.0 < width < math.inf:
+        edges = [lo + i * width for i in range(n_bins)] + [hi]
+
+        def offset(x: float) -> float:
+            return (x - lo) / width
+    else:
+        # A span too narrow for a float width (it underflows, or lo + 1.0
+        # rounds back to lo) or too wide (it overflows) is split in exact
+        # arithmetic; a zero span puts every score in the first bin.
+        exact_lo = Fraction(lo)
+        step = (Fraction(hi) - exact_lo) / n_bins
+        edges = [float(exact_lo + i * step) for i in range(n_bins)] + [hi]
+
+        def offset(x: float) -> Fraction:
+            return (Fraction(x) - exact_lo) / (step or 1)
 
     normal = [0] * n_bins
     attack = [0] * n_bins
@@ -176,7 +187,7 @@ def histogram(examples: list[ScoredExample], n_bins: int) -> Histogram:
             else:
                 overflow_normal += 1
             continue
-        idx = min(int((e.anomaly_score - lo) / width), n_bins - 1)
+        idx = min(int(offset(e.anomaly_score)), n_bins - 1)
         counts[max(idx, 0)] += 1
     return Histogram(
         edges=tuple(edges),

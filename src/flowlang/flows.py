@@ -170,7 +170,8 @@ def _zeek_rows(lines: Iterable[str]) -> Iterator[_Row]:
     order: list[int | None] | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
-        if not line:
+        # Before the header a whitespace-only line is blank, as to sniff_format.
+        if not line or order is None and line.isspace():
             continue
         if line.startswith("#"):
             parts = line.split("\t")
@@ -208,11 +209,11 @@ def parse_zeek_conn(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats
 
 def _csv_rows(lines: Iterable[str]) -> Iterator[_Row]:
     reader = csv.reader(lines)
-    rows = filter(None, reader)
-    header = next(rows, None)
+    # The first row whose line is not blank to sniff_format.
+    header = next((row for row in reader if ",".join(row).strip()), None)
     if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise FormatError(f"missing or malformed CSV header, expected {','.join(CSV_HEADER)}")
-    for row in rows:
+    for row in filter(None, reader):
         if len(row) != len(CSV_HEADER):
             yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
         else:
@@ -223,7 +224,7 @@ def parse_labeled_csv(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestSta
     """Parse the canonical labeled flow CSV into flow records.
 
     Args:
-        lines: an iterable of text lines whose first non-empty line is
+        lines: an iterable of text lines whose first non-blank line is
             exactly the canonical header (see CSV_HEADER). Labels other than
             normal/attack (case-insensitive) become UNLABELED.
 

@@ -12,7 +12,7 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import compress, repeat
 from operator import add
 from typing import Iterable, Sequence as Seq, TextIO
@@ -204,35 +204,37 @@ def merge_counts(a: ContextCounts, b: ContextCounts) -> ContextCounts:
 
 @dataclass
 class PstNode:
-    """One stored context: its raw conditional and links one symbol
-    deeper into the past (child context = (sym,) + this context)."""
+    """One stored context: its raw conditional, the log2 of its smoothed
+    row indexed by symbol (-inf for a zero probability), and links one
+    symbol deeper into the past (child context = (sym,) + this context)."""
 
     context: tuple[int, ...]
     dist: dict[int, float]
     children: dict[int, "PstNode"] = field(default_factory=dict)
-    # log2 of the smoothed row, indexed by symbol (-inf for a zero
-    # probability); filled on the node's first use by score_sequence.
-    log2_row: list[float] | None = field(default=None, repr=False, compare=False)
+    log2_row: list[float] = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass
 class Pst:
-    root: PstNode
+    """A tree as its node table, sorted by (len(context), context), so
+    nodes[0] is the root. make_tree builds it and checks it."""
+
+    nodes: list[PstNode]
     params: PstParams
     vocab: Vocabulary
     n_train_sequences: int = 0
     n_train_tokens: int = 0
 
     @property
+    def root(self) -> PstNode:
+        return self.nodes[0]
+
+    @property
     def node_count(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        return len(self.nodes)
 
     def iter_nodes(self) -> Iterable[PstNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
+        return iter(self.nodes)
 
     def smoothed(self, node: PstNode, sym: int) -> float:
         """P(sym | node) with the uniform epsilon floor mixed in."""
@@ -244,6 +246,55 @@ class Pst:
 
     def smoothed_dist(self, node: PstNode) -> dict[int, float]:
         return {sym: self.smoothed(node, sym) for sym in range(len(self.vocab))}
+
+
+def _log2(p: float) -> float:
+    return math.log2(p) if p > 0.0 else -math.inf
+
+
+def make_tree(dists: dict[tuple[int, ...], dict[int, float]], params: PstParams,
+              vocab: Vocabulary, n_sequences: int = 0, n_tokens: int = 0) -> Pst:
+    """The tree whose contexts are the keys of dists, each with its raw
+    next-symbol distribution.
+
+    Raises ValueError unless the contexts hold the root and are closed
+    under suffixes, none is longer than params.depth, every symbol is an
+    id of vocab, every row is a distribution (probabilities in [0, 1]
+    summing to 1 within 1e-9; only the root of an empty vocabulary is
+    empty) and params.epsilon leaves the rows some mass.
+    """
+    m = len(vocab)
+    _check_epsilon(params.epsilon, m)
+    if () not in dists:
+        raise ValueError("missing root node")
+    pst = Pst([], params, vocab, n_sequences, n_tokens)
+    # The smoothed log2 probability of a symbol that a row lacks.
+    unseen = _log2(pst.smoothed(PstNode((), {}), 0))
+    nodes: dict[tuple[int, ...], PstNode] = {}
+    for ctx in sorted(dists, key=lambda c: (len(c), c)):
+        dist = dists[ctx]
+        if len(ctx) > params.depth:
+            raise ValueError(f"context {list(ctx)} is longer than depth {params.depth}")
+        for sym in (*ctx, *dist):
+            if not 0 <= sym < m:
+                raise ValueError(
+                    f"symbol {sym} of context {list(ctx)} falls outside the "
+                    f"{m}-token vocabulary")
+        if not all(0.0 <= p <= 1.0 for p in dist.values()) \
+                or m and abs(math.fsum(dist.values()) - 1.0) > 1e-9:
+            raise ValueError(f"dist of {list(ctx)} is not a distribution: {dist}")
+        node = nodes[ctx] = PstNode(ctx, dist)
+        node.log2_row = row = [unseen] * m
+        for sym in dist:
+            row[sym] = _log2(pst.smoothed(node, sym))
+        if ctx:
+            parent = nodes.get(ctx[1:])
+            if parent is None:
+                raise ValueError(f"suffix closure broken: no node for {list(ctx[1:])}, "
+                                 f"the suffix of {list(ctx)}")
+            parent.children[ctx[0]] = node
+        pst.nodes.append(node)
+    return pst
 
 
 def _conditional(row: dict[int, int]) -> dict[int, float]:
@@ -270,8 +321,6 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     (marginal) distribution. The counts must cover depth symbols, be
     gated at no more than p_min, and hold only ids of vocab.
     """
-    m = len(vocab)
-    _check_epsilon(params.epsilon, m)
     if counts.max_len < params.depth:
         raise ValueError(
             f"counts cover contexts up to {counts.max_len} symbols, need {params.depth}")
@@ -300,12 +349,6 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
         if row is not None:
             row[ctx[-1]] = occ
     unigrams = rows[()]
-    if unigrams and not (min(unigrams) >= 0 and max(unigrams) < m):
-        raise ValueError(
-            f"counted symbols {min(unigrams)}..{max(unigrams)} fall outside "
-            f"the {m}-token vocabulary")
-    # With no training data the root is uniform over the vocabulary.
-    root_dist = _conditional(unigrams) if total else {sym: 1.0 / m for sym in range(m)}
     starts = counts.starts
     rows[()] = {sym: c - starts.get(sym, 0) for sym, c in unigrams.items()
                 if c > starts.get(sym, 0)}
@@ -332,25 +375,12 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
                 kept.add(ctx)
                 break
 
-    closed: set[tuple[int, ...]] = set()
-    for ctx in kept:
-        for k in range(len(ctx)):
-            closed.add(ctx[k:])
-
-    root = PstNode(context=(), dist=root_dist)
-    nodes: dict[tuple[int, ...], PstNode] = {(): root}
-    for ctx in sorted(closed, key=lambda c: (len(c), c)):
-        node = PstNode(context=ctx, dist=_conditional(rows[ctx]))
-        nodes[ctx] = node
-        nodes[ctx[1:]].children[ctx[0]] = node
-
-    return Pst(
-        root=root,
-        params=params,
-        vocab=vocab,
-        n_train_sequences=counts.n_sequences,
-        n_train_tokens=counts.total_positions,
-    )
+    closed = {ctx[k:] for ctx in kept for k in range(len(ctx))}
+    dists = {ctx: _conditional(rows[ctx]) for ctx in closed}
+    # With no training data the root is uniform over the vocabulary.
+    m = len(vocab)
+    dists[()] = _conditional(unigrams) if total else {sym: 1.0 / m for sym in range(m)}
+    return make_tree(dists, params, vocab, counts.n_sequences, total)
 
 
 def lookup_context(pst: Pst, history: Seq[int]) -> PstNode:
@@ -381,17 +411,6 @@ def _zero_score(length: int) -> Score:
         zero_likelihood=True,
         length=length,
     )
-
-
-def _log2_row(pst: Pst, node: PstNode) -> list[float]:
-    """log2 of pst.smoothed(node, sym) for every symbol, cached on node."""
-    eps = pst.params.epsilon
-    row = [math.log2(eps) if eps > 0.0 else -math.inf] * len(pst.vocab)
-    for sym in node.dist:
-        p = pst.smoothed(node, sym)
-        row[sym] = math.log2(p) if p > 0.0 else -math.inf
-    node.log2_row = row
-    return row
 
 
 def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
@@ -427,7 +446,7 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
             if child is None:
                 break
             node = child
-        lp = (node.log2_row or _log2_row(pst, node))[sym]
+        lp = node.log2_row[sym]
         if lp == -math.inf:
             return _zero_score(n)
         log2_lik += lp
@@ -469,7 +488,6 @@ def save_model(pst: Pst, sink: TextIO, created: str | None = None) -> None:
     decimal repr), so a load never re-derives probabilities and scores
     are bit-equal across a save/load round trip.
     """
-    nodes = sorted(pst.iter_nodes(), key=lambda nd: (len(nd.context), nd.context))
     doc: dict = {
         "version": MODEL_VERSION,
         "params": asdict(pst.params),
@@ -483,7 +501,7 @@ def save_model(pst: Pst, sink: TextIO, created: str | None = None) -> None:
                 "context": list(nd.context),
                 "dist": [[sym, p] for sym, p in sorted(nd.dist.items())],
             }
-            for nd in nodes
+            for nd in pst.nodes
         ],
     }
     if created is not None:
@@ -527,20 +545,14 @@ def load_model(source: TextIO) -> Pst:
     except ValueError as exc:
         raise CorruptModelError(f"bad vocab: {exc}") from None
     _require(len(vocab) == len(raw_vocab), "duplicate vocab tokens")
-    m = len(vocab)
 
     raw_params = doc.get("params")
-    _require(isinstance(raw_params, dict), "missing params object")
-    _require(_is_int(raw_params.get("depth")), "missing or non-integer depth")
-    real_params = ("p_min", "threshold", "tau", "epsilon")
-    for name in real_params:
-        _require(_is_number(raw_params.get(name)), f"missing or non-numeric {name}")
-    try:
-        params = PstParams(raw_params["depth"],
-                           **{name: float(raw_params[name]) for name in real_params})
-        _check_epsilon(params.epsilon, m)
-    except (OverflowError, ValueError) as exc:
-        raise CorruptModelError(f"bad params: {exc}") from None
+    # A param's JSON type is its default's; an integer is a number too.
+    kinds = {f.name: type(f.default) for f in fields(PstParams)}
+    _require(isinstance(raw_params, dict) and raw_params.keys() == kinds.keys(),
+             f"params must be exactly {sorted(kinds)}")
+    _require(all((_is_int if kind is int else _is_number)(raw_params[name])
+                 for name, kind in kinds.items()), "non-integer depth or non-numeric param")
 
     training = doc.get("training")
     _require(isinstance(training, dict), "missing training object")
@@ -553,50 +565,21 @@ def load_model(source: TextIO) -> Pst:
 
     raw_nodes = doc.get("nodes")
     _require(isinstance(raw_nodes, list) and raw_nodes, "missing nodes list")
-    nodes: dict[tuple[int, ...], PstNode] = {}
     for entry in raw_nodes:
         _require(isinstance(entry, dict), "node entry is not an object")
-        raw_ctx = entry.get("context")
-        _require(isinstance(raw_ctx, list), "node missing context")
-        _require(
-            all(_is_int(s) and 0 <= s < m for s in raw_ctx),
-            f"context symbol out of range in {raw_ctx!r}")
-        ctx = tuple(raw_ctx)
-        _require(len(ctx) <= params.depth, f"context longer than depth: {raw_ctx!r}")
-        _require(ctx not in nodes, f"duplicate context {raw_ctx!r}")
-        raw_dist = entry.get("dist")
-        _require(isinstance(raw_dist, list), "node missing dist")
-        dist: dict[int, float] = {}
-        for item in raw_dist:
-            _require(
-                isinstance(item, list) and len(item) == 2, "malformed dist entry")
-            sym, p = item
-            _require(_is_int(sym) and 0 <= sym < m,
-                     f"dist symbol out of range: {sym!r}")
-            _require(_is_number(p) and 0.0 <= p <= 1.0,
-                     f"dist probability out of range: {p!r}")
-            _require(sym not in dist, f"duplicate dist symbol {sym}")
-            dist[sym] = float(p)
-        # Only an empty vocabulary (an empty corpus) leaves a row empty.
-        total = math.fsum(dist.values())
-        _require(m == 0 or abs(total - 1.0) <= 1e-9,
-                 f"dist of {raw_ctx!r} sums to {total!r}, not 1")
-        nodes[ctx] = PstNode(context=ctx, dist=dist)
+        ctx, dist = entry.get("context"), entry.get("dist")
+        _require(isinstance(ctx, list) and all(map(_is_int, ctx)) and isinstance(dist, list)
+                 and all(isinstance(item, list) and len(item) == 2 and _is_int(item[0])
+                         and _is_number(item[1]) for item in dist)
+                 and len({sym for sym, _ in dist}) == len(dist),
+                 f"node is not a context and a [symbol, probability] list: {entry!r}")
+    _require(len({tuple(entry["context"]) for entry in raw_nodes}) == len(raw_nodes),
+             "duplicate context")
 
-    root = nodes.get(())
-    _require(root is not None, "missing root node")
-    for ctx, node in nodes.items():
-        if not ctx:
-            continue
-        parent = nodes.get(ctx[1:])
-        _require(parent is not None,
-                 f"suffix closure broken: no parent for {list(ctx)!r}")
-        parent.children[ctx[0]] = node
-
-    return Pst(
-        root=root,
-        params=params,
-        vocab=vocab,
-        n_train_sequences=n_sequences,
-        n_train_tokens=n_tokens,
-    )
+    try:
+        params = PstParams(**{name: kind(raw_params[name]) for name, kind in kinds.items()})
+        dists = {tuple(entry["context"]): {sym: float(p) for sym, p in entry["dist"]}
+                 for entry in raw_nodes}
+        return make_tree(dists, params, vocab, n_sequences, n_tokens)
+    except (OverflowError, ValueError) as exc:
+        raise CorruptModelError(f"bad model: {exc}") from None

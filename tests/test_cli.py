@@ -131,6 +131,20 @@ class TestPrepare:
             outputs.append((stdout, out.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("text", [CSV_TEXT, ZEEK_TEXT], ids=["csv", "zeek"])
+    def test_leading_whitespace_lines(self, tmp_path, capsys, text):
+        outputs = []
+        for name, prefix in (("plain", ""), ("spaces", "   \n"), ("tab", "\t\n"),
+                             ("both", "   \n\t\n")):
+            src = tmp_path / f"{name}.in"
+            src.write_text(prefix + text)
+            out = tmp_path / f"{name}.seqs"
+            code, stdout, stderr = run(capsys, "prepare", "--in", str(src),
+                                       "--out", str(out), "--no-timestamp")
+            assert (code, stderr) == (0, "")
+            outputs.append((stdout, out.read_bytes()))
+        assert all(output == outputs[0] for output in outputs)
+
     def test_bad_session_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["prepare", "--in", "x", "--out", "y", "--session", "fortnight"])
@@ -408,6 +422,25 @@ class TestEval:
         assert code == 4
         assert "data error" in stderr
 
+    def test_subnormal_likelihood_span(self, tmp_path, capsys):
+        # The two likelihoods are one subnormal step apart, so a float bin
+        # width of their span underflows to 0.
+        corpus = tmp_path / "c.txt"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            write_sequences([Sequence("10.0.0.1", "10.0.0.2", 0.0, (0,), label)
+                             for label in (Label.NORMAL, Label.ATTACK)],
+                            Vocabulary(["a"]), fh)
+        scores = tmp_path / "s.csv"
+        scores.write_text(f"{SCORES_HEADER}\n00000000,5e-324,1074.0,false\n"
+                          "00000001,1e-323,1073.0,false\n")
+        code, _, stderr = run(capsys, "eval", "--scores", str(scores),
+                              "--sequences", str(corpus), "--rank", "likelihood",
+                              "--out-dir", str(tmp_path / "r"))
+        assert (code, stderr) == (0, "")
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert sum(report["histogram"]["normal_counts"]) == 1
+        assert sum(report["histogram"]["attack_counts"]) == 1
+
     def test_row_count_mismatch(self, pipeline, tmp_path, capsys):
         short = tmp_path / "short.csv"
         lines = (pipeline / "scores.csv").read_text().splitlines()[:11]
@@ -463,11 +496,12 @@ class TestEvalRejectsBadRows:
         "\u0660.5,0.1,false",
         " 0.5 ,0.1,false",
         "0.5,1e0,false",
+        "0.0,3.5,true",
     ], ids=["nan-likelihood", "nan-loss", "likelihood-above-one",
             "negative-likelihood", "infinite-likelihood", "zero-flagged-false",
             "nonzero-flagged-true", "infinite-loss-on-nonzero", "negative-loss",
             "likelihood-underscore", "likelihood-arabic-indic", "likelihood-spaces",
-            "loss-exponent"])
+            "loss-exponent", "finite-loss-on-zero"])
     def test_format_error(self, pipeline, tmp_path, capsys, row):
         scores = _with_row(pipeline, tmp_path / "s.csv", row)
         code, _, stderr = run(capsys, "eval", "--scores", str(scores),
@@ -516,7 +550,7 @@ class TestEvalRejectsBadRows:
             0.0 <= likelihood <= 1.0
             and zero == (likelihood == 0.0)
             and loss >= 0.0
-            and (zero or loss != math.inf)
+            and zero == (loss == math.inf)
         )
         code = main(["eval", "--scores", str(scores),
                      "--sequences", str(pipeline / "corpus.txt"),

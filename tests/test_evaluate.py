@@ -211,6 +211,25 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([], n_bins=0)
 
+    @pytest.mark.parametrize("scores, counts", [
+        ((5e-324, 1e-323), (1, 0, 0, 1)),
+        ((-1.7e308, 1.7e308), (1, 0, 0, 1)),
+        ((2.0 ** 53, 2.0 ** 53), (2, 0, 0, 0)),
+    ], ids=["subnormal-span", "overflowing-span", "unwidenable-value"])
+    def test_extreme_spans(self, scores, counts):
+        h = histogram([ex(i, s, Label.NORMAL) for i, s in enumerate(scores)], n_bins=4)
+        assert h.normal_counts == counts
+        assert h.edges[0] == min(scores)
+        assert all(a <= b for a, b in zip(h.edges, h.edges[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+           st.integers(1, 30))
+    def test_any_finite_scores_are_all_binned(self, scores, n_bins):
+        h = histogram([ex(i, s, Label.ATTACK) for i, s in enumerate(scores)], n_bins)
+        assert sum(h.attack_counts) == len(scores)
+        assert len(h.edges) == n_bins + 1
+
 
 @st.composite
 def labeled_sets(draw, max_size=60):

@@ -14,9 +14,7 @@ from flowlang.errors import CorruptModelError, FormatError, ModelVersionError
 from flowlang.language import Vocabulary
 from flowlang.pst import (
     ContextCounts,
-    PstNode,
     PstParams,
-    Pst,
     Score,
     _min_count,
     build_tree,
@@ -24,6 +22,7 @@ from flowlang.pst import (
     flag_anomalies,
     load_model,
     lookup_context,
+    make_tree,
     merge_counts,
     save_model,
     score_sequence,
@@ -405,15 +404,40 @@ class TestBuildTree:
         assert pst.node_count == len(contexts)
 
 
+# A hand-made table: the root, (b,) and its extension (a, b).
+HAND_TABLE = {(): {A: 0.5, B: 0.5}, (B,): {A: 1.0}, (A, B): {B: 1.0}}
+
+
+class TestMakeTree:
+    def test_table_is_context_ordered(self):
+        pst = make_tree(HAND_TABLE, PstParams(depth=2), helpers.small_vocab(2))
+        assert [node.context for node in pst.iter_nodes()] == [(), (B,), (A, B)]
+        assert pst.root.children[B].children[A] is pst.nodes[2]
+        assert pst.nodes[1].log2_row == [0.0, -math.inf]
+
+    @pytest.mark.parametrize("drop", [(), (B,)], ids=["root", "suffix"])
+    def test_missing_root_or_suffix_rejected(self, drop):
+        table = {ctx: dist for ctx, dist in HAND_TABLE.items() if ctx != drop}
+        with pytest.raises(ValueError, match="root" if drop == () else "suffix"):
+            make_tree(table, PstParams(depth=2), helpers.small_vocab(2))
+
+    @pytest.mark.parametrize("table, params, match", [
+        ({(): {A: 1.0}, (A,): {A: 1.0}}, PstParams(depth=0), "depth"),
+        ({(): {A: 0.5, 2: 0.5}}, PstParams(depth=0), "vocabulary"),
+        ({(): {A: 0.5, B: 0.25}}, PstParams(depth=0), "not a distribution"),
+        ({(): {A: 1.5, B: -0.5}}, PstParams(depth=0), "not a distribution"),
+        ({(): {A: math.inf, B: -math.inf}}, PstParams(depth=0), "not a distribution"),
+        ({(): {A: 0.5, B: 0.5}}, PstParams(depth=0, epsilon=0.5), "epsilon"),
+    ], ids=["deeper-than-depth", "symbol-outside-vocabulary", "row-sum",
+            "probability-range", "infinite-probabilities", "epsilon"])
+    def test_bad_table_rejected(self, table, params, match):
+        with pytest.raises(ValueError, match=match):
+            make_tree(table, params, helpers.small_vocab(2))
+
+
 class TestLookup:
     def hand_tree(self):
-        root = PstNode(context=(), dist={A: 0.5, B: 0.5})
-        node_b = PstNode(context=(B,), dist={A: 1.0})
-        node_ab = PstNode(context=(A, B), dist={B: 1.0})
-        root.children[B] = node_b
-        node_b.children[A] = node_ab
-        return Pst(root=root, params=PstParams(depth=2),
-                   vocab=helpers.small_vocab(2))
+        return make_tree(HAND_TABLE, PstParams(depth=2), helpers.small_vocab(2))
 
     def test_empty_history_is_root(self):
         pst = self.hand_tree()
@@ -671,6 +695,26 @@ class TestModelIO:
             doc["nodes"].append(dict(doc["nodes"][0]))
         with pytest.raises(CorruptModelError):
             load_model(self.doc_for(mutate))
+
+    def test_shuffled_nodes_load_and_save_to_same_bytes(self):
+        import random
+        pst = train([[A, B, B, A, B, A, A, B]],
+                    PstParams(depth=3, p_min=0.0, threshold=0.0, tau=1.0), 2)
+        _, text = self.roundtrip(pst)
+        doc = json.loads(text)
+        assert len(doc["nodes"]) > 2
+        random.Random(3).shuffle(doc["nodes"])
+        _, again = self.roundtrip(load_model(io.StringIO(json.dumps(doc))))
+        assert again == text
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.update(jobs=1),
+        lambda p: p.pop("threshold"),
+        lambda p: p.update(thresh=p.pop("threshold")),
+    ], ids=["extra", "missing", "misspelled"])
+    def test_params_keys_must_be_exact(self, mutate):
+        with pytest.raises(CorruptModelError, match="params"):
+            load_model(self.doc_for(lambda d: mutate(d["params"])))
 
     def test_empty_vocabulary_model_loads(self):
         # An empty corpus trains a root-only model with an empty row.
