@@ -27,7 +27,6 @@ from .language import (
     SessionPolicy,
     TokenScheme,
     Vocabulary,
-    canonical_float,
     read_sequences,
     sessionize,
     write_sequences,
@@ -56,6 +55,11 @@ def _now_utc() -> str:
 
 def _seq_id(index: int) -> str:
     return f"{index:08d}"
+
+
+def _score_row(index: int, s: Score) -> str:
+    flag = "true" if s.zero_likelihood else "false"
+    return f"{_seq_id(index)},{s.likelihood!r},{s.per_symbol_log_loss!r},{flag}"
 
 
 def _session_policy(text: str) -> SessionPolicy:
@@ -231,9 +235,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     flagged, zeros = flag_anomalies(scored, args.limit)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(SCORES_HEADER + "\n")
-        for seq_id, s in scored:
-            flag = "true" if s.zero_likelihood else "false"
-            fh.write(f"{seq_id},{s.likelihood!r},{s.per_symbol_log_loss!r},{flag}\n")
+        for i, (_, s) in enumerate(scored):
+            fh.write(_score_row(i, s) + "\n")
     print(f"scored {len(scored)} sequences: {len(flagged)} flagged below "
           f"{args.limit!r}, {len(zeros)} zero-likelihood")
     for seq_id in flagged:
@@ -244,6 +247,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _parse_scores_csv(lines: Iterable[str]) -> dict[str, Score]:
+    """Parse cmd_score's CSV into {id: Score}. A row parses only when
+    _score_row writes what was parsed back as exactly that row."""
     it = iter(lines)
     if next(it, "").rstrip("\n") != SCORES_HEADER:
         raise FormatError(f"scores file must start with {SCORES_HEADER!r}")
@@ -252,37 +257,30 @@ def _parse_scores_csv(lines: Iterable[str]) -> dict[str, Score]:
         line = raw.rstrip("\n")
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        seq_id, lik_text, loss_text, zero_text = parts
+        try:
+            seq_id, lik_text, loss_text, zero_text = line.split(",")
+            index, likelihood, loss = int(seq_id), float(lik_text), float(loss_text)
+            score = Score(
+                likelihood=likelihood,
+                log2_likelihood=math.log2(likelihood) if likelihood > 0.0 else -math.inf,
+                per_symbol_log_loss=loss, zero_likelihood=zero_text == "true", length=1)
+            if index < 0 or _score_row(index, score) != line:
+                raise ValueError
+        except ValueError:
+            raise FormatError(f"line {lineno}: not as written: {line!r}") from None
         if seq_id in rows:
             raise FormatError(f"line {lineno}: duplicate id {seq_id!r}")
-        if zero_text not in ("true", "false"):
-            raise FormatError(f"line {lineno}: bad zero_likelihood {zero_text!r}")
-        try:
-            index = int(seq_id)
-            if index < 0 or _seq_id(index) != seq_id:
-                raise ValueError(seq_id)
-            likelihood = canonical_float(lik_text)
-            loss = canonical_float(loss_text)
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad numeric field") from None
-        zero = zero_text == "true"
         if math.isnan(likelihood) or math.isnan(loss):
             raise FormatError(f"line {lineno}: NaN field")
         if not 0.0 <= likelihood <= 1.0:
             raise FormatError(f"line {lineno}: likelihood {likelihood!r} outside [0, 1]")
-        if zero != (likelihood == 0.0):
+        if score.zero_likelihood != (likelihood == 0.0):
             raise FormatError(
                 f"line {lineno}: zero_likelihood {zero_text} disagrees with "
                 f"likelihood {likelihood!r}")
-        if loss < 0.0 or (loss == math.inf) != zero:
+        if loss < 0.0 or (loss == math.inf) != score.zero_likelihood:
             raise FormatError(f"line {lineno}: bad per_symbol_log_loss {loss!r}")
-        log2_lik = -math.inf if likelihood == 0.0 else math.log2(likelihood)
-        rows[seq_id] = Score(
-            likelihood=likelihood, log2_likelihood=log2_lik,
-            per_symbol_log_loss=loss, zero_likelihood=zero, length=1)
+        rows[seq_id] = score
     return rows
 
 

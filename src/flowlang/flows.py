@@ -1,7 +1,7 @@
 """Flow record ingestion: Zeek conn logs and the canonical labeled CSV.
 
 Both parsers are total over their input: a malformed row is counted and
-skipped, never fatal. Only a missing format header aborts.
+skipped, never fatal. Only a missing or incomplete format header aborts.
 """
 
 from __future__ import annotations
@@ -90,9 +90,13 @@ class FlowRecord:
             except ValueError as exc:
                 raise ValueError(f"invalid {name}: {text!r}") from exc
             # One IPv6 host has many spellings; keep the canonical one so
-            # it forms one endpoint. Valid IPv4 text is already canonical.
+            # it forms one endpoint (valid IPv4 text already is). Only an
+            # IPv6 zone id can hold whitespace, which would split a row.
             if addr.version == 6:
-                object.__setattr__(self, name, str(addr))
+                canonical = str(addr)
+                if any(map(str.isspace, canonical)):
+                    raise ValueError(f"whitespace in {name}: {text!r}")
+                object.__setattr__(self, name, canonical)
 
 
 def total_bytes(flow: FlowRecord) -> int:
@@ -177,6 +181,10 @@ def _zeek_rows(lines: Iterable[str]) -> Iterator[_Row]:
             parts = line.split("\t")
             if parts[0] == "#fields":
                 columns = {name: i for i, name in enumerate(parts[1:])}
+                # Without these columns no row could make a flow.
+                missing = [n for n in ("ts", "id.orig_h", "id.resp_h") if n not in columns]
+                if missing:
+                    raise FormatError(f"line {lineno}: #fields lacks {', '.join(missing)}")
                 # Count the names, not the distinct names: with a repeated
                 # name, every index must still fall inside a full row.
                 width = len(parts) - 1
@@ -201,8 +209,9 @@ def parse_zeek_conn(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats
 
     Returns:
         (records, stats). Rows lacking a timestamp or valid IPs are counted
-        as rejected; only a data row arriving before any ``#fields`` header
-        raises FormatError.
+        as rejected. Only a data row arriving before any ``#fields`` header,
+        or a ``#fields`` header without ts, id.orig_h or id.resp_h, raises
+        FormatError.
     """
     return _ingest(_zeek_rows(lines))
 

@@ -118,6 +118,9 @@ class Sequence:
             raise ValueError(f"non-finite window start: {self.window_start!r}")
         if self.ip_low > self.ip_high:
             raise ValueError(f"endpoint pair not ordered: {self.ip_low!r} > {self.ip_high!r}")
+        for ip in (self.ip_low, self.ip_high):
+            if any(map(str.isspace, ip)):
+                raise ValueError(f"whitespace in endpoint: {ip!r}")
 
     @property
     def n_flows(self) -> int:
@@ -250,24 +253,17 @@ def sessionize(
     return sequences, vocab
 
 
-def canonical_float(text: str) -> float:
-    """float(text) when repr() writes that float as exactly text;
-    ValueError for any other spelling (a space, an underscore, an
-    exponent repr() would not use, a non-ASCII digit)."""
-    value = float(text)
-    if repr(value) != text:
-        raise ValueError(f"not a float as written: {text!r}")
-    return value
+def _vocab_line(n: int) -> str:
+    return f"#vocab {n}"
 
 
-def _index(text: str) -> int:
-    """text as a count or id when str() writes that int as exactly text
-    (no sign on zero, leading zero, underscore or non-ASCII digit), else -1."""
-    try:
-        value = int(text)
-    except ValueError:
-        return -1
-    return value if str(value) == text else -1
+def _token_line(token_id: int, token: str) -> str:
+    return f"{token_id}\t{token}"
+
+
+def _sequence_line(s: Sequence) -> str:
+    ids = " ".join(map(str, s.token_ids))
+    return f"{s.label.value}\t{s.ip_low}\t{s.ip_high}\t{s.window_start!r}\t{ids}"
 
 
 def write_sequences(
@@ -285,60 +281,54 @@ def write_sequences(
     if comment is not None:
         sink.write(f"# {comment}\n")
     toks = vocab.tokens()
-    sink.write(f"#vocab {len(toks)}\n")
+    sink.write(_vocab_line(len(toks)) + "\n")
     for i, t in enumerate(toks):
-        sink.write(f"{i}\t{t}\n")
+        sink.write(_token_line(i, t) + "\n")
     for s in sequences:
-        ids = " ".join(str(i) for i in s.token_ids)
-        sink.write(f"{s.label.value}\t{s.ip_low}\t{s.ip_high}\t{s.window_start!r}\t{ids}\n")
+        sink.write(_sequence_line(s) + "\n")
 
 
 def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
     """Parse the write_sequences format back; inverse of write_sequences.
 
-    An input with no content lines yields an empty corpus. Raises
-    FormatError (with a line number) on any structural problem: data before
-    the #vocab directive, bad or duplicate vocab rows, wrong field counts,
-    a label other than attack, normal or unlabeled, a number spelled other
-    than write_sequences writes it, a non-finite window start, ids that
-    are not registered in the vocabulary.
+    A line parses only when writing back what was parsed gives exactly
+    that line. The directive is the line whose first space-separated word
+    is '#vocab'; blank lines and any other '#' line are comments. An
+    input with no content lines yields an empty corpus. Raises FormatError
+    (with a line number) on data before the directive, a line not as
+    written, a truncated vocabulary block, a duplicate token, a
+    non-finite window start or an id not in the vocabulary.
     """
     it = enumerate(lines, start=1)
-    vocab_n: int | None = None
-
     for lineno, raw in it:
         line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#vocab"):
-            parts = line.split(" ")
-            vocab_n = _index(parts[1]) if len(parts) == 2 else -1
-            if vocab_n < 0:
-                raise FormatError(f"line {lineno}: malformed #vocab directive")
+        word, _, count = line.partition(" ")
+        if word == "#vocab":
             break
-        if line.startswith("#"):
-            continue
-        raise FormatError(f"line {lineno}: expected #vocab directive before data")
-    if vocab_n is None:
+        if line.strip() and not line.startswith("#"):
+            raise FormatError(f"line {lineno}: expected #vocab directive before data")
+    else:
         # Nothing but blanks and comments: an empty corpus, not an error.
         return [], Vocabulary()
+    try:
+        vocab_n = int(count)
+    except ValueError:
+        vocab_n = -1
+    if vocab_n < 0 or _vocab_line(vocab_n) != line:
+        raise FormatError(f"line {lineno}: malformed #vocab directive")
 
     vocab = Vocabulary()
-    for _ in range(vocab_n):
-        try:
-            lineno, raw = next(it)
-        except StopIteration:
-            raise FormatError("truncated vocabulary block") from None
+    for token_id in range(vocab_n):
+        lineno, raw = next(it, (lineno, None))
+        if raw is None:
+            raise FormatError("truncated vocabulary block")
         line = raw.rstrip("\n")
-        parts = line.split("\t")
-        token_id = _index(parts[0]) if len(parts) == 2 else -1
-        if token_id < 0:
-            raise FormatError(f"line {lineno}: malformed vocabulary row")
-        if token_id != len(vocab):
-            raise FormatError(f"line {lineno}: vocabulary ids out of order")
+        token = line.partition("\t")[2]
+        if _token_line(token_id, token) != line:
+            raise FormatError(f"line {lineno}: expected vocabulary row {token_id}<TAB>token")
         try:
-            if vocab.add(parts[1]) != token_id:
-                raise ValueError(f"duplicate vocabulary token {parts[1]!r}")
+            if vocab.add(token) != token_id:
+                raise ValueError(f"duplicate vocabulary token {token!r}")
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
 
@@ -347,21 +337,14 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise FormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        label_text, ip_low, ip_high, start_text, ids_text = parts
         try:
-            start = canonical_float(start_text)
-            ids = tuple(map(int, ids_text.split(" ")))
-            if " ".join(map(str, ids)) != ids_text:
-                raise ValueError(f"token ids not as written: {ids_text!r}")
-            for i in ids:
+            label, ip_low, ip_high, start, ids = line.split("\t")
+            seq = Sequence(ip_low, ip_high, float(start),
+                           tuple(map(int, ids.split(" "))), Label(label))
+            if _sequence_line(seq) != line:
+                raise ValueError(f"not as written: {line!r}")
+            for i in seq.token_ids:
                 vocab.token_of(i)
-            seq = Sequence(
-                ip_low=ip_low, ip_high=ip_high, window_start=start,
-                token_ids=ids, label=Label(label_text),
-            )
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         sequences.append(seq)

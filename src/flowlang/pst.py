@@ -28,6 +28,14 @@ MODEL_VERSION = 1
 _TINY = 5e-324
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class PstParams:
     """Construction hyperparameters.
@@ -37,7 +45,9 @@ class PstParams:
     symbol must reach for the retention test. tau: retention keeps a
     context when some conditional differs from its suffix's by a factor
     of tau or more (either direction). epsilon: uniform smoothing floor
-    mixed into every queried distribution.
+    mixed into every queried distribution. depth is an int; the other
+    four are stored as floats, so equal params save as equal bytes. A
+    bool is neither.
     """
 
     depth: int = 14
@@ -47,6 +57,13 @@ class PstParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        if not _is_int(self.depth):
+            raise ValueError(f"depth must be an int, got {self.depth!r}")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if not _is_number(value):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            object.__setattr__(self, f.name, float(value))
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if not 0.0 <= self.p_min <= 1.0:
@@ -515,14 +532,6 @@ def _require(cond: bool, message: str) -> None:
         raise CorruptModelError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def load_model(source: TextIO) -> Pst:
     """Parse and validate a model document written by save_model."""
     try:
@@ -547,12 +556,9 @@ def load_model(source: TextIO) -> Pst:
     _require(len(vocab) == len(raw_vocab), "duplicate vocab tokens")
 
     raw_params = doc.get("params")
-    # A param's JSON type is its default's; an integer is a number too.
-    kinds = {f.name: type(f.default) for f in fields(PstParams)}
-    _require(isinstance(raw_params, dict) and raw_params.keys() == kinds.keys(),
-             f"params must be exactly {sorted(kinds)}")
-    _require(all((_is_int if kind is int else _is_number)(raw_params[name])
-                 for name, kind in kinds.items()), "non-integer depth or non-numeric param")
+    names = {f.name for f in fields(PstParams)}
+    _require(isinstance(raw_params, dict) and raw_params.keys() == names,
+             f"params must be exactly {sorted(names)}")
 
     training = doc.get("training")
     _require(isinstance(training, dict), "missing training object")
@@ -577,7 +583,7 @@ def load_model(source: TextIO) -> Pst:
              "duplicate context")
 
     try:
-        params = PstParams(**{name: kind(raw_params[name]) for name, kind in kinds.items()})
+        params = PstParams(**raw_params)
         dists = {tuple(entry["context"]): {sym: float(p) for sym, p in entry["dist"]}
                  for entry in raw_nodes}
         return make_tree(dists, params, vocab, n_sequences, n_tokens)

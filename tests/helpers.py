@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way (explicit loops, Fraction
 arithmetic where it matters) so that agreement with the fast code is
-meaningful evidence rather than the same algorithm twice.
+meaningful evidence rather than the same algorithm twice. Also the two
+small flow inputs that the CLI and golden tests share.
 """
 
 from __future__ import annotations
@@ -13,6 +14,28 @@ from fractions import Fraction
 from flowlang.language import Vocabulary
 from flowlang.pst import Pst, PstParams
 from flowlang.synth import MarkovSpec
+
+
+# ---------------------------------------------------------------------------
+# flow inputs: a labeled CSV day and a Zeek conn log
+
+
+CSV_TEXT = """\
+ts,src_ip,src_port,dst_ip,dst_port,protocol,orig_bytes,resp_bytes,orig_pkts,resp_pkts,duration,label
+100.0,10.0.0.1,1234,10.0.0.2,80,tcp,500,1500,5,5,0.3,normal
+160.0,10.0.0.2,80,10.0.0.1,5555,tcp,100,900,2,3,0.2,attack
+200.0,10.0.0.1,2222,10.0.0.2,443,tcp,9000,100,7,2,1.0,normal
+300.0,192.168.1.5,53,192.168.1.9,53,udp,80,0,1,0,0.0,normal
+7300.0,10.0.0.1,1234,10.0.0.2,80,tcp,700,100,3,1,0.1,normal
+"""
+
+ZEEK_TEXT = (
+    "#separator \\x09\n"
+    "#fields\tts\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tproto"
+    "\torig_bytes\tresp_bytes\torig_pkts\tresp_pkts\tduration\n"
+    "10.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t900\t400\t4\t4\t0.5\n"
+    "20.0\t10.0.0.9\t80\t10.0.0.1\t2222\ttcp\t-\t100\t1\t1\t-\n"
+)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ subprocess test confirms the module entry point is wired up.
 from __future__ import annotations
 
 import errno
+import io
 import json
 import math
 import os
@@ -17,28 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import CSV_TEXT, ZEEK_TEXT
 import flowlang.cli
-from flowlang.cli import SCORES_HEADER, _parse_scores_csv, main
+from flowlang.cli import SCORES_HEADER, _parse_scores_csv, _score_row, main
+from flowlang.errors import FormatError
 from flowlang.flows import Label
 from flowlang.language import Sequence, Vocabulary, read_sequences, write_sequences
 from flowlang.pst import load_model, score_sequence
-
-CSV_TEXT = """\
-ts,src_ip,src_port,dst_ip,dst_port,protocol,orig_bytes,resp_bytes,orig_pkts,resp_pkts,duration,label
-100.0,10.0.0.1,1234,10.0.0.2,80,tcp,500,1500,5,5,0.3,normal
-160.0,10.0.0.2,80,10.0.0.1,5555,tcp,100,900,2,3,0.2,attack
-200.0,10.0.0.1,2222,10.0.0.2,443,tcp,9000,100,7,2,1.0,normal
-300.0,192.168.1.5,53,192.168.1.9,53,udp,80,0,1,0,0.0,normal
-7300.0,10.0.0.1,1234,10.0.0.2,80,tcp,700,100,3,1,0.1,normal
-"""
-
-ZEEK_TEXT = (
-    "#separator \\x09\n"
-    "#fields\tts\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tproto"
-    "\torig_bytes\tresp_bytes\torig_pkts\tresp_pkts\tduration\n"
-    "10.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t900\t400\t4\t4\t0.5\n"
-    "20.0\t10.0.0.9\t80\t10.0.0.1\t2222\ttcp\t-\t100\t1\t1\t-\n"
-)
 
 
 def run(capsys, *argv):
@@ -145,6 +131,30 @@ class TestPrepare:
             outputs.append((stdout, out.read_bytes()))
         assert all(output == outputs[0] for output in outputs)
 
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    def test_whitespace_in_ipv6_zone_is_rejected(self, tmp_path, capsys, char):
+        # The quoted cell is a valid scoped address, but no sequences file
+        # row can carry its whitespace.
+        src = tmp_path / "flows.csv"
+        src.write_text(CSV_TEXT + f'400.0,"fe80::1%a{char}b",1,fe80::2,2,tcp,1,1,1,1,0.0,normal\n')
+        out = tmp_path / "seqs.txt"
+        code, stdout, _ = run(capsys, "prepare", "--in", str(src), "--out", str(out))
+        assert code == 0
+        assert "rows: 6 read, 5 parsed, 1 rejected" in stdout
+        code, _, stderr = run(capsys, "train", "--in", str(out),
+                              "--out", str(tmp_path / "m.json"))
+        assert (code, stderr) == (0, "")
+
+    @pytest.mark.parametrize("name", ["ts", "id.orig_h", "id.resp_h"])
+    def test_zeek_fields_need_flow_columns(self, tmp_path, capsys, name):
+        src = tmp_path / "conn.log"
+        src.write_text(ZEEK_TEXT.replace(f"\t{name}\t", "\tuid\t", 1))
+        out = tmp_path / "seqs.txt"
+        code, _, stderr = run(capsys, "prepare", "--in", str(src), "--out", str(out))
+        assert code == 3
+        assert f"line 2: #fields lacks {name}" in stderr
+        assert not out.exists()
+
     def test_bad_session_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["prepare", "--in", "x", "--out", "y", "--session", "fortnight"])
@@ -229,6 +239,15 @@ class TestTrain:
         assert code == 3
         assert "format error" in stderr
 
+    def test_vocab_directive_is_one_word(self, tmp_path, capsys):
+        # "#vocabX 1" is a comment, so its vocabulary row is data too early.
+        src = tmp_path / "c.txt"
+        src.write_text("#vocabX 1\n0\ttok_b1\nnormal\ta\tb\t0.0\t0\n")
+        code, _, stderr = run(capsys, "train", "--in", str(src),
+                              "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert "line 2: expected #vocab directive" in stderr
+
 
 def parse_scores(path):
     lines = path.read_text().splitlines()
@@ -238,6 +257,21 @@ def parse_scores(path):
         seq_id, lik, loss, zero = line.split(",")
         rows[seq_id] = (float(lik), float(loss), zero == "true")
     return rows
+
+
+@st.composite
+def score_rows(draw):
+    """Text for one data row of a scores CSV: a valid row with an id past
+    the scored ones and one character inserted, replaced or deleted, or
+    any line but a blank one."""
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(["00000008,0.0,inf,true", "00000009,0.5,1.25,false",
+                                    "00000010,1.0,0.0,false", "00000011,5e-324,1074.0,false"]))
+        at = draw(st.integers(0, len(row)))
+        edit = draw(st.sampled_from(["", *"0+-_. ,\rea\u0660"]))
+        return row[:at] + edit + row[at + draw(st.integers(0, 1)):]
+    return draw(st.text(alphabet=st.characters(blacklist_characters="\n"),
+                        min_size=1, max_size=20))
 
 
 class TestScore:
@@ -347,8 +381,9 @@ class TestScore:
     @settings(max_examples=25, deadline=None)
     @given(seqs=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=40),
                          min_size=2, max_size=8),
-           epsilon=st.sampled_from(["0.0", "0.0001", "0.01"]))
-    def test_output_reads_back(self, tmp_path_factory, seqs, epsilon):
+           epsilon=st.sampled_from(["0.0", "0.0001", "0.01"]),
+           extra_rows=st.lists(score_rows(), max_size=10))
+    def test_output_reads_back(self, tmp_path_factory, seqs, epsilon, extra_rows):
         work = tmp_path_factory.mktemp("roundtrip")
         vocab = Vocabulary(f"t{i}_b{i}" for i in range(4))
         sequences = [Sequence("a", "b", float(i), tuple(ids))
@@ -373,6 +408,20 @@ class TestScore:
             got = rows[f"{i:08d}"]
             assert (got.likelihood, got.per_symbol_log_loss, got.zero_likelihood) \
                 == (want.likelihood, want.per_symbol_log_loss, want.zero_likelihood)
+
+        def written(rows):
+            return SCORES_HEADER + "\n" + "".join(
+                _score_row(int(seq_id), s) + "\n" for seq_id, s in rows.items())
+
+        text = scores.read_text(encoding="utf-8")
+        assert written(rows) == text
+        # Any further row is a FormatError or writes back as exactly itself.
+        for row in extra_rows:
+            try:
+                parsed = _parse_scores_csv(io.StringIO(f"{text}{row}\n"))
+            except FormatError:
+                continue
+            assert written(parsed) == f"{text}{row}\n"
 
 
 class TestEval:

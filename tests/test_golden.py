@@ -1,9 +1,11 @@
-"""The README quickstart and words demo, pinned to their output bytes.
+"""The README quickstart, the words demo and `prepare`, pinned to their
+output bytes.
 
 Runs the documented commands with --no-timestamp and checks the summary
 lines the README shows and the sha256 of every file they write. One more
 `train --p-min 0 --depth 5` pins the exhaustive count: with p_min 0
-every context is frequent, so counting keeps every substring. Python
+every context is frequent, so counting keeps every substring. `prepare`
+runs on the labeled CSV and the Zeek log the CLI tests use. Python
 3.10, 3.11 and 3.12 write the same bytes, so a changed digest means the
 program's output changed, not the interpreter.
 """
@@ -12,6 +14,9 @@ from __future__ import annotations
 
 import hashlib
 
+import pytest
+
+from helpers import CSV_TEXT, ZEEK_TEXT
 from flowlang.cli import main
 
 DIGESTS = {
@@ -20,6 +25,8 @@ DIGESTS = {
     "model-p0-d5.json": "895d3c87d20596f2e055e9949415ee3dc4f761625291526245e348fe75e64f2d",
     "scores.csv": "7d151295294e5b3c7f18fdeb832387637d37db3bbcde92f357616c7baa00b99b",
     "report/report.json": "02dce32ffd0bfe22b41d3badbc80ca8faa1b06a174b62f4a901fe2a88f2fd56d",
+    "report/roc.csv": "2a086161e5fc00a1db7478a2d7724446a376ea3dda73d1201967a89965bb8b5c",
+    "report/hist.csv": "072ee3b0a34bfca961ef49cdad2656dd20663286814e53cf06a8151fc0d4681b",
     "words.tsv": "1a8ea6734f608fae4aebf6ed39794aaa38c9ac78519160dc260585acf6262e34",
 }
 
@@ -53,3 +60,21 @@ def test_readme_quickstart_and_words(tmp_path, capsys):
     assert out == ["scored 2578 words against a 427-node tree"]
     for rel, digest in DIGESTS.items():
         assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel
+
+
+@pytest.mark.parametrize("text, stdout, digest", [
+    (CSV_TEXT,
+     ["rows: 5 read, 5 parsed, 0 rejected", "sequences: 3", "vocabulary: 4 tokens",
+      "labels: 1 attack, 2 normal, 0 unlabeled"],
+     "e61f80702c7f0fba7056be5095a425b281026dc0ef8b92816324a8e47971fa99"),
+    (ZEEK_TEXT,
+     ["rows: 2 read, 2 parsed, 0 rejected", "sequences: 1", "vocabulary: 2 tokens",
+      "labels: 0 attack, 0 normal, 1 unlabeled"],
+     "b71cad7606a8e6639dfc1e5023de5b5052f850b1cb278e294bd9e2151d5718db"),
+], ids=["csv", "zeek"])
+def test_prepare(tmp_path, capsys, text, stdout, digest):
+    src, out = tmp_path / "flows.in", tmp_path / "seqs.txt"
+    src.write_text(text)
+    assert main(["prepare", "--in", str(src), "--out", str(out), "--no-timestamp"]) == 0
+    assert capsys.readouterr().out.splitlines() == stdout
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

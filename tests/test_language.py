@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from flowlang.cli import SCORES_HEADER, _parse_scores_csv
@@ -98,6 +98,12 @@ class TestSequenceType:
         for start in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 Sequence(ip_low="a", ip_high="b", window_start=start, token_ids=(0,))
+        # A tab or line break would split the row written for it.
+        for ip in ("a\tb", "a\rb", "a\nb", "a b", "a\u2028b"):
+            with pytest.raises(ValueError, match="whitespace in endpoint"):
+                Sequence(ip_low=ip, ip_high="z", window_start=0.0, token_ids=(0,))
+            with pytest.raises(ValueError, match="whitespace in endpoint"):
+                Sequence(ip_low="", ip_high=ip, window_start=0.0, token_ids=(0,))
 
 
 class TestBucketing:
@@ -284,17 +290,40 @@ class TestSessionizeProperties:
         assert hit[0].label is Label.ATTACK
 
 
-sequence_lists = st.lists(
-    st.builds(
-        Sequence,
-        ip_low=st.just("10.0.0.1"),
-        ip_high=st.sampled_from(["10.0.0.2", "10.0.0.3"]),
-        window_start=st.floats(allow_nan=False, allow_infinity=False),
-        token_ids=st.lists(st.integers(0, 11), min_size=1, max_size=8).map(tuple),
-        label=st.sampled_from(list(Label)),
-    ),
-    max_size=15,
-)
+@st.composite
+def any_sequence(draw):
+    """Any Sequence the constructor accepts, over a 12-token vocabulary."""
+    ip_low, ip_high = sorted(draw(st.lists(st.text(max_size=6), min_size=2, max_size=2)))
+    try:
+        return Sequence(
+            ip_low=ip_low, ip_high=ip_high,
+            window_start=draw(st.floats(allow_nan=False, allow_infinity=False)),
+            token_ids=tuple(draw(st.lists(st.integers(0, 11), min_size=1, max_size=8))),
+            label=draw(st.sampled_from(list(Label))))
+    except ValueError:
+        reject()
+
+
+sequence_lists = st.lists(any_sequence(), max_size=15)
+
+
+@st.composite
+def sequence_rows(draw):
+    """Text for one data row of a sequences file: the row written for a
+    valid Sequence with one character inserted, replaced or deleted, or
+    any line. Blank and '#' lines are comments, not rows."""
+    if draw(st.booleans()):
+        buf = io.StringIO()
+        write_sequences([draw(any_sequence())], Vocabulary(), buf)
+        row = buf.getvalue().splitlines()[-1]
+        at = draw(st.integers(0, len(row)))
+        edit = draw(st.sampled_from(["", *"0+-_. \t\rea\u0660"]))
+        row = row[:at] + edit + row[at + draw(st.integers(0, 1)):]
+    else:
+        row = draw(st.text(alphabet=st.characters(blacklist_characters="\n"), max_size=12))
+    assume(row.strip() and not row.startswith("#"))
+    return row
+
 
 # Sequence rows, each spelling a number as write_sequences never does.
 NON_CANONICAL_ROWS = {
@@ -316,18 +345,27 @@ NON_CANONICAL_ROWS = {
 
 
 class TestSequenceFile:
-    def roundtrip(self, sequences, vocab):
+    @staticmethod
+    def written(sequences, vocab):
         buf = io.StringIO()
         write_sequences(sequences, vocab, buf, comment="unit test")
-        return read_sequences(io.StringIO(buf.getvalue()))
+        return buf.getvalue()
 
     @settings(max_examples=150)
-    @given(sequence_lists)
-    def test_round_trip_identity(self, sequences):
+    @given(sequence_lists, sequence_rows())
+    def test_round_trip_identity(self, sequences, row):
         vocab = Vocabulary([f"t{i}_b{i}" for i in range(12)])
-        got_sequences, got_vocab = self.roundtrip(sequences, vocab)
+        text = self.written(sequences, vocab)
+        got_sequences, got_vocab = read_sequences(io.StringIO(text))
         assert got_sequences == sequences
         assert got_vocab == vocab
+        assert self.written(got_sequences, got_vocab) == text
+        # Any further row is a FormatError or writes back as exactly itself.
+        try:
+            parsed = read_sequences(io.StringIO(f"{text}{row}\n"))
+        except FormatError:
+            return
+        assert self.written(*parsed) == f"{text}{row}\n"
 
     def test_empty_file_is_empty_corpus(self):
         sequences, vocab = read_sequences([])
@@ -380,6 +418,12 @@ class TestSequenceFile:
     def test_non_canonical_vocab_number_is_format_error(self, lines):
         with pytest.raises(FormatError, match="line"):
             read_sequences(lines)
+
+    def test_vocab_prefixed_comment(self):
+        # Only a line whose first word is exactly #vocab is the directive.
+        sequences, vocab = read_sequences(
+            ["#vocabulary notes\n", "#vocab 1\n", "0\ttok_b1\n", "normal\ta\tb\t0.0\t0\n"])
+        assert (len(sequences), vocab.tokens()) == (1, ["tok_b1"])
 
     def test_duplicate_vocab_token_is_format_error(self):
         with pytest.raises(FormatError, match="line 3: duplicate vocabulary token"):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -58,10 +59,22 @@ class TestParams:
         {"tau": math.inf},
         {"epsilon": 1.0},
         {"epsilon": -0.01},
+        {"depth": 1.5},
+        {"depth": 2.0},
+        {"depth": True},
+        {"depth": "1"},
+        {"tau": True},
+        {"p_min": "0.1"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             PstParams(**kwargs)
+
+    def test_numbers_are_stored_as_floats(self):
+        # Equal params must save as equal bytes.
+        p = PstParams(depth=2, p_min=0, threshold=0, tau=10, epsilon=0)
+        assert p == PstParams(depth=2, p_min=0.0, threshold=0.0, tau=10.0, epsilon=0.0)
+        assert [type(v) for v in asdict(p).values()] == [int, float, float, float, float]
 
 
 class TestCountContexts:
