@@ -218,8 +218,12 @@ def parse_zeek_conn(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats
 
 def _csv_rows(lines: Iterable[str]) -> Iterator[_Row]:
     reader = csv.reader(lines)
-    # The first row whose line is not blank to sniff_format.
-    header = next((row for row in reader if ",".join(row).strip()), None)
+    # The first row whose line is not blank; one that csv cannot split
+    # (a cell over csv.field_size_limit()) is no header either.
+    try:
+        header = next((row for row in reader if ",".join(row).strip()), None)
+    except csv.Error:
+        header = None
     if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise FormatError(f"missing or malformed CSV header, expected {','.join(CSV_HEADER)}")
     for row in filter(None, reader):
@@ -245,18 +249,10 @@ def parse_labeled_csv(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestSta
 
 
 def sniff_format(line: str) -> str:
-    """Name the format, "zeek" or "csv", that a file whose first non-blank
-    line is `line` is in: a Zeek log starts with a ``#`` directive, the
-    labeled CSV with its header. Raises FormatError otherwise."""
-    stripped = line.strip()
-    if not stripped:
-        raise FormatError("empty input")
-    if stripped.startswith("#"):
-        return "zeek"
-    if [h.strip() for h in stripped.split(",")] == CSV_HEADER:
-        return "csv"
-    raise FormatError("unrecognized input format "
-                      "(expected a Zeek conn log or the labeled CSV)")
+    """Name the parser, "zeek" or "csv", for a file whose first non-blank
+    line is `line`: a Zeek log starts with a ``#`` directive, and anything
+    else goes to the labeled CSV parser, which alone judges its header."""
+    return "zeek" if line.lstrip().startswith("#") else "csv"
 
 
 def write_labeled_csv(flows: Iterable[FlowRecord], sink: TextIO) -> None:

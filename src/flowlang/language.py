@@ -27,7 +27,7 @@ class TokenScheme:
     """How a single flow becomes a token.
 
     proto-bytes:   <proto>_b<floor(log2(total_bytes))>, zero bytes -> bz
-    proto-density: <proto>_d<floor((total_bytes/total_pkts)/width)>, zero
+    proto-density: <proto>_d<total_bytes // (total_pkts * width)>, zero
                    packets -> dz
     """
 
@@ -122,10 +122,6 @@ class Sequence:
             if any(map(str.isspace, ip)):
                 raise ValueError(f"whitespace in endpoint: {ip!r}")
 
-    @property
-    def n_flows(self) -> int:
-        return len(self.token_ids)
-
 
 def log2_bin(value: int) -> int | str:
     """floor(log2(value)) for positive ints, the sentinel "z" for zero.
@@ -140,14 +136,15 @@ def log2_bin(value: int) -> int | str:
 
 
 def density_bucket(bytes_total: int, pkts_total: int, width: int) -> int | str:
-    """floor((bytes/pkts)/width); flows with no packets get the sentinel."""
+    """floor((bytes/pkts)/width) in exact integer arithmetic, however
+    large the totals; flows with no packets get the sentinel."""
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     if bytes_total < 0 or pkts_total < 0:
         raise ValueError("negative totals")
     if pkts_total == 0:
         return "z"
-    return math.floor((bytes_total / pkts_total) / width)
+    return bytes_total // (pkts_total * width)
 
 
 def tokenize(flow: FlowRecord, scheme: TokenScheme) -> str:
@@ -277,8 +274,12 @@ def write_sequences(
     Layout: optional leading '# <comment>' line, a '#vocab <n>' directive,
     n id<TAB>token lines, then one line per sequence:
     label<TAB>ip_low<TAB>ip_high<TAB>window_start<TAB>space-joined ids.
+    Raises ValueError on a comment that str.splitlines would split, since
+    read_sequences would take its second line for data.
     """
     if comment is not None:
+        if comment and comment.splitlines() != [comment]:
+            raise ValueError(f"comment must be one line: {comment!r}")
         sink.write(f"# {comment}\n")
     toks = vocab.tokens()
     sink.write(_vocab_line(len(toks)) + "\n")

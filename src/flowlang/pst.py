@@ -401,8 +401,14 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
 
 
 def lookup_context(pst: Pst, history: Seq[int]) -> PstNode:
-    """Node of the longest stored suffix of history; root when none match."""
-    node = pst.root
+    """Node of the longest stored suffix of history; root when none match.
+
+    This is the one walk that scoring takes. make_tree refuses any context
+    longer than params.depth, so the tree itself ends the walk within depth
+    symbols; score_sequence passes only the last depth ids so that each
+    step copies no more than that.
+    """
+    node = pst.nodes[0]
     for sym in reversed(history):
         child = node.children.get(sym)
         if child is None:
@@ -434,12 +440,13 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
     """Likelihood of a token sequence under the tree.
 
     Each position is predicted from the longest stored suffix of the
-    preceding tokens. No stored context is longer than params.depth, so
-    the walk looks back at most that many symbols and scoring is linear
-    in the sequence length. An out-of-vocabulary token, or any zero
-    smoothed probability, makes the whole sequence zero-likelihood.
-    Accumulation happens in log2 space; the reported likelihood is
-    clamped to the smallest positive float when exponentiation underflows.
+    preceding tokens, found by lookup_context. No stored context is
+    longer than params.depth, so the walk looks back at most that many
+    symbols and scoring is linear in the sequence length. An
+    out-of-vocabulary token, or any zero smoothed probability, makes the
+    whole sequence zero-likelihood. Accumulation happens in log2 space;
+    the reported likelihood is clamped to the smallest positive float
+    when exponentiation underflows.
     """
     texts = list(tokens)
     n = len(texts)
@@ -453,17 +460,10 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
             return _zero_score(n)
         ids.append(i)
 
-    root = pst.root
     depth = pst.params.depth
     log2_lik = 0.0
     for i, sym in enumerate(ids):
-        node = root
-        for j in range(i - 1, i - depth - 1 if i > depth else -1, -1):
-            child = node.children.get(ids[j])
-            if child is None:
-                break
-            node = child
-        lp = node.log2_row[sym]
+        lp = lookup_context(pst, ids[i - depth if i > depth else 0:i]).log2_row[sym]
         if lp == -math.inf:
             return _zero_score(n)
         log2_lik += lp

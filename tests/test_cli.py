@@ -160,6 +160,44 @@ class TestPrepare:
             main(["prepare", "--in", "x", "--out", "y", "--session", "fortnight"])
         assert exc.value.code == 2
 
+    def test_quoted_csv_header(self, tmp_path, capsys):
+        # The CSV parser alone judges the header, cell by cell as csv
+        # splits it; the first line only picks that parser.
+        header, rest = CSV_TEXT.split("\n", 1)
+        quoted = ",".join(f'"{cell}"' for cell in header.split(",")) + "\n" + rest
+        outputs = []
+        for name, text in (("plain", CSV_TEXT), ("quoted", quoted)):
+            src = tmp_path / f"{name}.csv"
+            src.write_text(text)
+            out = tmp_path / f"{name}.seqs"
+            code, stdout, stderr = run(capsys, "prepare", "--in", str(src),
+                                       "--out", str(out), "--no-timestamp")
+            assert (code, stderr) == (0, "")
+            outputs.append((stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "not,a,header\n", "a" * 200_000 + "\n"],
+                             ids=["empty", "blank", "bad-header", "over-field-limit"])
+    def test_no_csv_header_is_format_error(self, tmp_path, capsys, text):
+        src = tmp_path / "flows.csv"
+        src.write_text(text)
+        out = tmp_path / "seqs.txt"
+        code, _, stderr = run(capsys, "prepare", "--in", str(src), "--out", str(out))
+        assert code == 3
+        assert "missing or malformed CSV header" in stderr
+        assert not out.exists()
+
+    def test_density_of_huge_byte_count(self, tmp_path, capsys):
+        src = tmp_path / "flows.csv"
+        src.write_text(CSV_TEXT + f"400.0,10.0.0.1,1,10.0.0.2,2,tcp,{'9' * 400},0,1,0,0.0,normal\n")
+        out = tmp_path / "seqs.txt"
+        code, stdout, stderr = run(capsys, "prepare", "--in", str(src), "--out", str(out),
+                                   "--scheme", "proto-density")
+        assert (code, stderr) == (0, "")
+        assert "rows: 6 read, 6 parsed, 0 rejected" in stdout
+        _, vocab = read_corpus(out)
+        assert f"tcp_d{'9' * 399}" in vocab
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

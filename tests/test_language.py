@@ -90,7 +90,7 @@ class TestSequenceType:
     def test_invariants(self):
         seq = Sequence(ip_low="10.0.0.1", ip_high="10.0.0.2",
                        window_start=0.0, token_ids=(0, 1))
-        assert seq.n_flows == 2
+        assert len(seq.token_ids) == 2
         with pytest.raises(ValueError):
             Sequence(ip_low="b", ip_high="a", window_start=0.0, token_ids=(0,))
         with pytest.raises(ValueError):
@@ -126,6 +126,8 @@ class TestBucketing:
         assert density_bucket(1000, 10, 10) == 10
         assert density_bucket(55, 2, 10) == 2
         assert density_bucket(500, 0, 10) == "z"
+        assert density_bucket(99999999999999999, 10**15, 1) == 99
+        assert density_bucket(10**400, 1, 10) == 10**399
 
     def test_density_bucket_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -165,7 +167,7 @@ class TestSessionize:
         flows = [flow(100.0), flow(200.0), flow(3700.0)]
         sequences, _ = sessionize(flows, TokenScheme(), SessionPolicy(kind="hour"))
         assert [s.window_start for s in sequences] == [0.0, 3600.0]
-        assert [s.n_flows for s in sequences] == [2, 1]
+        assert [len(s.token_ids) for s in sequences] == [2, 1]
 
     def test_any_attack_label_wins(self):
         flows = [flow(1.0, label=Label.NORMAL), flow(2.0, label=Label.ATTACK)]
@@ -181,14 +183,14 @@ class TestSessionize:
         policy = SessionPolicy(kind="gap", gap_seconds=1800.0)
         flows = [flow(0.0), flow(1800.0), flow(3601.0)]
         sequences, _ = sessionize(flows, TokenScheme(), policy)
-        assert [s.n_flows for s in sequences] == [2, 1]
+        assert [len(s.token_ids) for s in sequences] == [2, 1]
         assert [s.window_start for s in sequences] == [0.0, 3601.0]
 
     def test_unordered_pair_grouping(self):
         flows = [flow(1.0, src="10.0.0.9", dst="10.0.0.2"),
                  flow(2.0, src="10.0.0.2", dst="10.0.0.9")]
         (seq,), _ = sessionize(flows, TokenScheme(), SessionPolicy())
-        assert seq.n_flows == 2
+        assert len(seq.token_ids) == 2
         assert seq.ip_low == "10.0.0.2"
         assert seq.ip_high == "10.0.0.9"
 
@@ -196,7 +198,7 @@ class TestSessionize:
         flows = [flow(1.0, src="2001:db8::1", dst="2001:db8::2"),
                  flow(2.0, src="2001:0db8:0::1", dst="2001:DB8::2")]
         (seq,), _ = sessionize(flows, TokenScheme(), SessionPolicy())
-        assert seq.n_flows == 2
+        assert len(seq.token_ids) == 2
         assert (seq.ip_low, seq.ip_high) == ("2001:db8::1", "2001:db8::2")
 
     @settings(max_examples=100, deadline=None)
@@ -213,7 +215,7 @@ class TestSessionize:
         flows = [flow(100.0), flow(200.0), flow(3700.0)]
         sequences, _ = sessionize(flows, TokenScheme(), SessionPolicy(),
                                   min_length=2)
-        assert [s.n_flows for s in sequences] == [2]
+        assert [len(s.token_ids) for s in sequences] == [2]
         with pytest.raises(ValueError):
             sessionize(flows, TokenScheme(), SessionPolicy(), min_length=0)
 
@@ -250,7 +252,7 @@ class TestSessionizeProperties:
         scheme = TokenScheme()
         policy = SessionPolicy(kind="hour")
         sequences, vocab = sessionize(flows, scheme, policy)
-        assert sum(s.n_flows for s in sequences) == len(flows)
+        assert sum(len(s.token_ids) for s in sequences) == len(flows)
 
         shuffled = list(flows)
         rng.shuffle(shuffled)
@@ -268,7 +270,7 @@ class TestSessionizeProperties:
             window = math.floor(f.ts / 3600.0) * 3600.0
             starts.setdefault((pair, window), 0)
             starts[pair, window] += 1
-        got = {((s.ip_low, s.ip_high), s.window_start): s.n_flows
+        got = {((s.ip_low, s.ip_high), s.window_start): len(s.token_ids)
                for s in sequences}
         assert got == starts
 
@@ -366,6 +368,25 @@ class TestSequenceFile:
         except FormatError:
             return
         assert self.written(*parsed) == f"{text}{row}\n"
+
+    @pytest.mark.parametrize("comment", [
+        "two\nlines", "two\rlines", "two\r\nlines", "trailing\n", "\n",
+        "two\u2028lines", "two\u2029lines", "two\x85lines", "two\x0blines",
+        "two\x0clines", "two\x1clines",
+    ])
+    def test_comment_with_line_break_is_refused(self, comment):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="comment must be one line"):
+            write_sequences([], Vocabulary(), buf, comment=comment)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("comment", ["", "generated 2024-01-01T00:00:00Z", "tab\there"])
+    def test_one_line_comment_is_written(self, comment):
+        sequences, vocab = [Sequence("a", "b", 0.0, (0,))], Vocabulary(["t0_b0"])
+        buf = io.StringIO()
+        write_sequences(sequences, vocab, buf, comment=comment)
+        assert buf.getvalue().startswith(f"# {comment}\n#vocab 1\n")
+        assert read_sequences(io.StringIO(buf.getvalue())) == (sequences, vocab)
 
     def test_empty_file_is_empty_corpus(self):
         sequences, vocab = read_sequences([])
