@@ -226,7 +226,17 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[_Row]:
         header = None
     if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise FormatError(f"missing or malformed CSV header, expected {','.join(CSV_HEADER)}")
-    for row in filter(None, reader):
+    while True:
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:
+            # A cell over csv.field_size_limit(); the reader goes on at the next line.
+            yield reader.line_num, str(exc)
+            continue
+        if row is None:
+            return
+        if not row:
+            continue
         if len(row) != len(CSV_HEADER):
             yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
         else:

@@ -70,7 +70,7 @@ class Vocabulary:
 
     def add(self, token: str) -> int:
         """Register token if new; return its id either way."""
-        if not token or any(c.isspace() for c in token):
+        if not isinstance(token, str) or not token or any(c.isspace() for c in token):
             raise ValueError(f"bad token text: {token!r}")
         existing = self._ids.get(token)
         if existing is not None:
@@ -207,7 +207,6 @@ def sessionize(
     flows: Iterable[FlowRecord],
     scheme: TokenScheme,
     policy: SessionPolicy,
-    vocab: Vocabulary | None = None,
     min_length: int = 1,
 ) -> tuple[list[Sequence], Vocabulary]:
     """Group flows by unordered endpoint pair and emit token sequences.
@@ -216,7 +215,6 @@ def sessionize(
         flows: flow records in any order.
         scheme: token scheme applied per flow.
         policy: session boundary rule applied per endpoint pair.
-        vocab: existing vocabulary to extend; a fresh one by default.
         min_length: drop sequences shorter than this many flows.
 
     Returns:
@@ -226,7 +224,7 @@ def sessionize(
     """
     if min_length < 1:
         raise ValueError(f"min_length must be >= 1, got {min_length}")
-    vocab = vocab if vocab is not None else Vocabulary()
+    vocab = Vocabulary()
 
     groups: dict[tuple[str, str], list[FlowRecord]] = {}
     for flow in flows:

@@ -272,16 +272,21 @@ def _log2(p: float) -> float:
 def make_tree(dists: dict[tuple[int, ...], dict[int, float]], params: PstParams,
               vocab: Vocabulary, n_sequences: int = 0, n_tokens: int = 0) -> Pst:
     """The tree whose contexts are the keys of dists, each with its raw
-    next-symbol distribution.
+    next-symbol distribution, stored as floats.
 
     Raises ValueError unless the contexts hold the root and are closed
     under suffixes, none is longer than params.depth, every symbol is an
-    id of vocab, every row is a distribution (probabilities in [0, 1]
+    int id of vocab, every row is a distribution (numbers in [0, 1]
     summing to 1 within 1e-9; only the root of an empty vocabulary is
-    empty) and params.epsilon leaves the rows some mass.
+    empty), params.epsilon leaves the rows some mass and both training
+    counts are ints >= 0. A bool is neither an int nor a number here.
     """
     m = len(vocab)
-    _check_epsilon(params.epsilon, m)
+    if params.epsilon > 0.0 and (m == 0 or params.epsilon >= 1.0 / m):
+        raise ValueError(f"epsilon {params.epsilon} must be < 1/{m} for this vocabulary")
+    for count in (n_sequences, n_tokens):
+        if not (_is_int(count) and count >= 0):
+            raise ValueError(f"training count {count!r} is not an int >= 0")
     if () not in dists:
         raise ValueError("missing root node")
     pst = Pst([], params, vocab, n_sequences, n_tokens)
@@ -293,14 +298,14 @@ def make_tree(dists: dict[tuple[int, ...], dict[int, float]], params: PstParams,
         if len(ctx) > params.depth:
             raise ValueError(f"context {list(ctx)} is longer than depth {params.depth}")
         for sym in (*ctx, *dist):
-            if not 0 <= sym < m:
+            if not (_is_int(sym) and 0 <= sym < m):
                 raise ValueError(
-                    f"symbol {sym} of context {list(ctx)} falls outside the "
+                    f"symbol {sym!r} of context {list(ctx)} is not an id of the "
                     f"{m}-token vocabulary")
-        if not all(0.0 <= p <= 1.0 for p in dist.values()) \
+        if not all(_is_number(p) and 0.0 <= p <= 1.0 for p in dist.values()) \
                 or m and abs(math.fsum(dist.values()) - 1.0) > 1e-9:
             raise ValueError(f"dist of {list(ctx)} is not a distribution: {dist}")
-        node = nodes[ctx] = PstNode(ctx, dist)
+        node = nodes[ctx] = PstNode(ctx, {sym: float(p) for sym, p in dist.items()})
         node.log2_row = row = [unseen] * m
         for sym in dist:
             row[sym] = _log2(pst.smoothed(node, sym))
@@ -317,13 +322,6 @@ def make_tree(dists: dict[tuple[int, ...], dict[int, float]], params: PstParams,
 def _conditional(row: dict[int, int]) -> dict[int, float]:
     total = sum(row.values())
     return {sym: c / total for sym, c in row.items()}
-
-
-def _check_epsilon(epsilon: float, m: int) -> None:
-    """Raise ValueError unless the epsilon floor leaves the raw row some
-    mass over an m-token vocabulary, i.e. epsilon < 1/m."""
-    if epsilon > 0.0 and (m == 0 or epsilon >= 1.0 / m):
-        raise ValueError(f"epsilon {epsilon} must be < 1/{m} for this vocabulary")
 
 
 def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> Pst:
@@ -498,8 +496,8 @@ def flag_anomalies(scores: Iterable[tuple[str, Score]],
     return flagged, zeros
 
 
-def save_model(pst: Pst, sink: TextIO, created: str | None = None) -> None:
-    """Write the versioned model document.
+def _document(pst: Pst, created: str | None) -> dict:
+    """The model document of pst, as save_model writes it.
 
     Raw distributions are stored as binary floats (via their shortest
     decimal repr), so a load never re-derives probabilities and scores
@@ -523,69 +521,55 @@ def save_model(pst: Pst, sink: TextIO, created: str | None = None) -> None:
     }
     if created is not None:
         doc["created"] = created
-    json.dump(doc, sink, sort_keys=True, indent=1)
+    return doc
+
+
+def save_model(pst: Pst, sink: TextIO, created: str | None = None) -> None:
+    """Write the versioned model document."""
+    json.dump(_document(pst, created), sink, sort_keys=True, indent=1)
     sink.write("\n")
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise CorruptModelError(message)
-
-
 def load_model(source: TextIO) -> Pst:
-    """Parse and validate a model document written by save_model."""
+    """Read a model document back into the tree it describes.
+
+    A wrong version is ModelVersionError. Otherwise the document is built
+    into a tree by PstParams, Vocabulary and make_tree, which check every
+    value, and it is accepted only if save_model would write that tree as
+    exactly this document, with the nodes in any order. Anything else is
+    CorruptModelError.
+    """
     try:
         doc = json.load(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModelError(f"model is not valid JSON: {exc}") from None
-
-    _require(isinstance(doc, dict), "model document is not an object")
-    version = doc.get("version")
-    _require(_is_int(version), "missing or non-integer version field")
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if not _is_int(version):
+        raise CorruptModelError("missing or non-integer version field")
     if version != MODEL_VERSION:
         raise ModelVersionError(
             f"model version {version} not supported (expected {MODEL_VERSION})")
 
-    raw_vocab = doc.get("vocab")
-    _require(isinstance(raw_vocab, list), "missing vocab list")
-    _require(all(isinstance(t, str) for t in raw_vocab), "non-string vocab entry")
     try:
-        vocab = Vocabulary(raw_vocab)
-    except ValueError as exc:
-        raise CorruptModelError(f"bad vocab: {exc}") from None
-    _require(len(vocab) == len(raw_vocab), "duplicate vocab tokens")
-
-    raw_params = doc.get("params")
-    names = {f.name for f in fields(PstParams)}
-    _require(isinstance(raw_params, dict) and raw_params.keys() == names,
-             f"params must be exactly {sorted(names)}")
-
-    training = doc.get("training")
-    _require(isinstance(training, dict), "missing training object")
-    n_sequences = training.get("n_sequences")
-    n_tokens = training.get("n_tokens")
-    _require(
-        _is_int(n_sequences) and n_sequences >= 0
-        and _is_int(n_tokens) and n_tokens >= 0,
-        "bad training counts")
-
-    raw_nodes = doc.get("nodes")
-    _require(isinstance(raw_nodes, list) and raw_nodes, "missing nodes list")
-    for entry in raw_nodes:
-        _require(isinstance(entry, dict), "node entry is not an object")
-        ctx, dist = entry.get("context"), entry.get("dist")
-        _require(isinstance(ctx, list) and all(map(_is_int, ctx)) and isinstance(dist, list)
-                 and all(isinstance(item, list) and len(item) == 2 and _is_int(item[0])
-                         and _is_number(item[1]) for item in dist)
-                 and len({sym for sym, _ in dist}) == len(dist),
-                 f"node is not a context and a [symbol, probability] list: {entry!r}")
-    _require(len({tuple(entry["context"]) for entry in raw_nodes}) == len(raw_nodes),
-             "duplicate context")
-
+        params = PstParams(**doc["params"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptModelError(f"bad params: {exc}") from None
     try:
-        params = PstParams(**raw_params)
-        dists = {tuple(entry["context"]): {sym: float(p) for sym, p in entry["dist"]}
-                 for entry in raw_nodes}
-        return make_tree(dists, params, vocab, n_sequences, n_tokens)
-    except (OverflowError, ValueError) as exc:
+        nodes = doc["nodes"]
+        training = doc["training"]
+        pst = make_tree({tuple(node["context"]): dict(node["dist"]) for node in nodes},
+                        params, Vocabulary(doc["vocab"]),
+                        training["n_sequences"], training["n_tokens"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModelError(f"bad model: {exc}") from None
+
+    # make_tree took every context as a tuple of ints, so these keys compare.
+    doc["nodes"] = sorted(nodes, key=lambda node: (len(node["context"]),
+                                                   tuple(node["context"])))
+    written = _document(pst, doc.get("created"))
+    differ = (doc.keys() ^ written.keys()) | {
+        key for key in doc.keys() & written.keys() if doc[key] != written[key]}
+    if differ:
+        raise CorruptModelError(
+            f"model differs from what save_model writes in: {', '.join(sorted(differ))}")
+    return pst

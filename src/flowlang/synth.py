@@ -232,15 +232,14 @@ def symbol_token(sym: int) -> str:
 def corpus_to_sequences(
     corpus: Iterable[tuple[list[int], Label]],
     alphabet_size: int,
-    vocab: Vocabulary | None = None,
 ) -> tuple[list[Sequence], Vocabulary]:
     """Wrap raw labeled symbol lists as Sequence values.
 
-    Tokens s0..s{m-1} are registered up front in symbol order, so with a
-    fresh vocabulary token ids equal symbols. Endpoint and window fields
-    are synthetic placeholders (pair "synth"/"synth", window = index).
+    Tokens s0..s{m-1} are registered in symbol order, so token ids equal
+    symbols. Endpoint and window fields are synthetic placeholders (pair
+    "synth"/"synth", window = index).
     """
-    vocab = vocab if vocab is not None else Vocabulary()
+    vocab = Vocabulary()
     ids = [vocab.add(symbol_token(s)) for s in range(alphabet_size)]
     sequences = []
     for i, (symbols, label) in enumerate(corpus):

@@ -187,6 +187,20 @@ class TestPrepare:
         assert "missing or malformed CSV header" in stderr
         assert not out.exists()
 
+    def test_row_over_field_limit_is_rejected(self, tmp_path, capsys):
+        # csv cannot split this row; the reader goes on at the next one.
+        huge = f"400.0,{'1' * 200_000},1,10.0.0.2,2,tcp,1,1,1,1,0.1,normal\n"
+        outputs = []
+        for name, text in [("plain", CSV_TEXT), ("huge", CSV_TEXT + huge)]:
+            src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.seqs"
+            src.write_text(text)
+            code, stdout, stderr = run(capsys, "prepare", "--in", str(src),
+                                       "--out", str(out), "--no-timestamp")
+            assert (code, stderr) == (0, "")
+            outputs.append((stdout.splitlines()[0], out.read_bytes()))
+        assert outputs[1][0] == "rows: 6 read, 5 parsed, 1 rejected"
+        assert outputs[1][1] == outputs[0][1]
+
     def test_density_of_huge_byte_count(self, tmp_path, capsys):
         src = tmp_path / "flows.csv"
         src.write_text(CSV_TEXT + f"400.0,10.0.0.1,1,10.0.0.2,2,tcp,{'9' * 400},0,1,0,0.0,normal\n")

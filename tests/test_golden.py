@@ -13,22 +13,17 @@ program's output changed, not the interpreter.
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from helpers import CSV_TEXT, ZEEK_TEXT
 from flowlang.cli import main
 
-DIGESTS = {
-    "corpus.txt": "d68454c2709d52257a91b42837ab92bf8f1b8ce6f689d97bb3b7bc53cd957281",
-    "model.json": "88d255484e8e024f1e893621987abfbe224ca50dd11083e74f38cedec46cc403",
-    "model-p0-d5.json": "895d3c87d20596f2e055e9949415ee3dc4f761625291526245e348fe75e64f2d",
-    "scores.csv": "7d151295294e5b3c7f18fdeb832387637d37db3bbcde92f357616c7baa00b99b",
-    "report/report.json": "02dce32ffd0bfe22b41d3badbc80ca8faa1b06a174b62f4a901fe2a88f2fd56d",
-    "report/roc.csv": "2a086161e5fc00a1db7478a2d7724446a376ea3dda73d1201967a89965bb8b5c",
-    "report/hist.csv": "072ee3b0a34bfca961ef49cdad2656dd20663286814e53cf06a8151fc0d4681b",
-    "words.tsv": "1a8ea6734f608fae4aebf6ed39794aaa38c9ac78519160dc260585acf6262e34",
-}
+# The quickstart's files and their sha256, in `sha256sum` format; the CI
+# installed-cli job checks the same file with `sha256sum -c`.
+GOLDEN = Path(__file__).with_name("golden.sha256")
+DIGESTS = dict(line.split("  ")[::-1] for line in GOLDEN.read_text().splitlines())
 
 
 def test_readme_quickstart_and_words(tmp_path, capsys):
@@ -58,6 +53,9 @@ def test_readme_quickstart_and_words(tmp_path, capsys):
                    "precision@10: 1.0", "precision@50: 1.0", "precision@100: 0.95"]
     out = run("words", "--out", tmp_path / "words.tsv")
     assert out == ["scored 2578 words against a 427-node tree"]
+    written = {str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
+               if path.is_file()}
+    assert written == DIGESTS.keys()
     for rel, digest in DIGESTS.items():
         assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel
 

@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowlang.cli import SCORES_HEADER, _parse_scores_csv
@@ -80,6 +80,11 @@ class TestVocabulary:
             vocab.add("has space")
         with pytest.raises(ValueError):
             vocab.add("tab\tch")
+        for token in (1, None, b"tcp_b3", ["tcp_b3"]):
+            with pytest.raises(ValueError):
+                vocab.add(token)
+        with pytest.raises(ValueError):
+            Vocabulary([1])
 
     def test_equality_is_by_token_order(self):
         assert Vocabulary(["x", "y"]) == Vocabulary(["x", "y"])
@@ -226,13 +231,6 @@ class TestSessionize:
         texts = [vocab.token_of(i) for i in seq.token_ids]
         assert texts == ["tcp_bz", "tcp_b10"]
 
-    def test_vocab_can_be_extended(self):
-        vocab = Vocabulary(["pre_b1"])
-        _, vocab2 = sessionize([flow(1.0)], TokenScheme(), SessionPolicy(),
-                               vocab=vocab)
-        assert vocab2.token_of(0) == "pre_b1"
-        assert len(vocab2) == 2
-
 
 small_flows = st.builds(
     flow,
@@ -292,18 +290,22 @@ class TestSessionizeProperties:
         assert hit[0].label is Label.ATTACK
 
 
+# Endpoint text: any character but the 29 that str.isspace() accepts,
+# which Sequence refuses (TestSequenceType covers those).
+endpoints = st.text(st.characters(exclude_categories=("Zs", "Zl", "Zp"),
+                                  exclude_characters="\t\n\v\f\r\x1c\x1d\x1e\x1f\x85"),
+                    max_size=6)
+
+
 @st.composite
 def any_sequence(draw):
     """Any Sequence the constructor accepts, over a 12-token vocabulary."""
-    ip_low, ip_high = sorted(draw(st.lists(st.text(max_size=6), min_size=2, max_size=2)))
-    try:
-        return Sequence(
-            ip_low=ip_low, ip_high=ip_high,
-            window_start=draw(st.floats(allow_nan=False, allow_infinity=False)),
-            token_ids=tuple(draw(st.lists(st.integers(0, 11), min_size=1, max_size=8))),
-            label=draw(st.sampled_from(list(Label))))
-    except ValueError:
-        reject()
+    ip_low, ip_high = sorted(draw(st.lists(endpoints, min_size=2, max_size=2)))
+    return Sequence(
+        ip_low=ip_low, ip_high=ip_high,
+        window_start=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        token_ids=tuple(draw(st.lists(st.integers(0, 11), min_size=1, max_size=8))),
+        label=draw(st.sampled_from(list(Label))))
 
 
 sequence_lists = st.lists(any_sequence(), max_size=15)

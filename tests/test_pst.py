@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from flowlang.pst import (
     ContextCounts,
     PstParams,
     Score,
+    _document,
     _min_count,
     build_tree,
     count_contexts,
@@ -441,11 +443,39 @@ class TestMakeTree:
         ({(): {A: 1.5, B: -0.5}}, PstParams(depth=0), "not a distribution"),
         ({(): {A: math.inf, B: -math.inf}}, PstParams(depth=0), "not a distribution"),
         ({(): {A: 0.5, B: 0.5}}, PstParams(depth=0, epsilon=0.5), "epsilon"),
+        ({(): {False: 0.5, B: 0.5}}, PstParams(depth=0), "vocabulary"),
+        ({(): {A: 0.5, 1.0: 0.5}}, PstParams(depth=0), "vocabulary"),
+        ({(): {A: True, B: False}}, PstParams(depth=0), "not a distribution"),
+        ({(): {A: "1.0"}}, PstParams(depth=0), "not a distribution"),
+        ({(): {A: 0.5, B: 0.5}, (True,): {A: 1.0}}, PstParams(depth=1), "vocabulary"),
     ], ids=["deeper-than-depth", "symbol-outside-vocabulary", "row-sum",
-            "probability-range", "infinite-probabilities", "epsilon"])
+            "probability-range", "infinite-probabilities", "epsilon",
+            "bool-dist-symbol", "float-dist-symbol", "bool-probability",
+            "string-probability", "bool-context-symbol"])
     def test_bad_table_rejected(self, table, params, match):
         with pytest.raises(ValueError, match=match):
             make_tree(table, params, helpers.small_vocab(2))
+
+    @pytest.mark.parametrize("n_sequences, n_tokens", [
+        (-1, 0), (0, -1), (1, 2.5), (1.0, 2), (True, 2), (1, None),
+    ], ids=["negative-sequences", "negative-tokens", "fractional-tokens",
+            "float-sequences", "bool-sequences", "missing-tokens"])
+    def test_bad_training_counts_rejected(self, n_sequences, n_tokens):
+        with pytest.raises(ValueError, match="training count"):
+            make_tree(HAND_TABLE, PstParams(depth=2), helpers.small_vocab(2),
+                      n_sequences, n_tokens)
+
+    def test_probabilities_are_stored_as_floats(self):
+        as_ints = make_tree({(): {A: 1, B: 0}}, PstParams(depth=0), helpers.small_vocab(2))
+        as_floats = make_tree({(): {A: 1.0, B: 0.0}}, PstParams(depth=0),
+                              helpers.small_vocab(2))
+        assert [type(p) for p in as_ints.root.dist.values()] == [float, float]
+        saved = []
+        for pst in (as_ints, as_floats):
+            buf = io.StringIO()
+            save_model(pst, buf)
+            saved.append(buf.getvalue())
+        assert saved[0] == saved[1]
 
 
 class TestLookup:
@@ -654,6 +684,10 @@ class TestModelIO:
         with pytest.raises(CorruptModelError):
             load_model(io.StringIO(clipped))
 
+    def test_deeply_nested_file(self):
+        with pytest.raises(CorruptModelError, match="not valid JSON"):
+            load_model(io.StringIO("[" * 100_000 + "]" * 100_000))
+
     def doc_for(self, mutate):
         pst = train([[A, B, A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
         buf = io.StringIO()
@@ -760,6 +794,44 @@ class TestModelIO:
         with pytest.raises(CorruptModelError):
             load_model(self.doc_for(mutate))
 
+    # Documents save_model never writes, though the tree they describe is
+    # valid: the error names the top-level field that differs.
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d.update(extra=1), "extra"),
+        (lambda d: d.update(created=None), "created"),
+        (lambda d: d["training"].update(extra=1), "training"),
+        (lambda d: d["nodes"][0].update(extra=1), "nodes"),
+        (lambda d: d["nodes"][0]["dist"].reverse(), "nodes"),
+        (lambda d: d["nodes"][0]["dist"].append(list(d["nodes"][0]["dist"][0])), "nodes"),
+        (lambda d: d["params"].update(tau=2**60 + 1), "params"),
+    ], ids=["extra-key", "null-created", "extra-training-key", "extra-node-key",
+            "dist-rows-out-of-order", "duplicate-dist-row", "int-not-its-float"])
+    def test_not_as_written_rejected(self, mutate, field):
+        with pytest.raises(CorruptModelError, match=f"differs .*: {field}$"):
+            load_model(self.doc_for(mutate))
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_strategy, params_strategy, st.data())
+    def test_edited_document_loads_as_written_or_is_corrupt(self, corpus, params, data):
+        m, seqs = corpus
+        if params.epsilon >= 1.0 / m:
+            params = PstParams(depth=params.depth, p_min=params.p_min,
+                               threshold=params.threshold, tau=params.tau,
+                               epsilon=0.0)
+        buf = io.StringIO()
+        save_model(train(seqs, params, m), buf,
+                   created=data.draw(st.sampled_from([None, "2024-01-01T00:00:00Z"])))
+        doc = json.loads(buf.getvalue())
+        edit_document(doc, data.draw)
+        text = json.dumps(doc)
+        try:
+            pst = load_model(io.StringIO(text))
+        except (CorruptModelError, ModelVersionError):
+            return
+        edited = json.loads(text)
+        edited["nodes"].sort(key=lambda node: (len(node["context"]), node["context"]))
+        assert _document(pst, edited.get("created")) == edited
+
     @settings(max_examples=60, deadline=None)
     @given(corpus_strategy, params_strategy, st.data())
     def test_perturbed_probability_rejected(self, corpus, params, data):
@@ -776,3 +848,54 @@ class TestModelIO:
         entry[1] += data.draw(st.floats(1e-6, 1.0))
         with pytest.raises(CorruptModelError):
             load_model(io.StringIO(json.dumps(doc)))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from([0, 1, -1, 0.0, 0.5, 1.0, 2**60 + 1]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+key_names = st.sampled_from(["version", "params", "vocab", "training", "nodes",
+                             "created", "n_tokens", "depth", "context", "dist"])
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def edit_document(doc, draw):
+    """One edit at any place of a decoded JSON document: replace a value,
+    delete it, add a key or element, or swap two elements."""
+    path = draw(st.sampled_from(list(_paths(doc))))
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    target = container[path[-1]] if path else doc
+    ops = ["replace", "delete"] if path else []
+    if isinstance(target, (dict, list)):
+        ops.append("add")
+    if isinstance(target, list) and len(target) > 1:
+        ops.append("swap")
+    op = draw(st.sampled_from(ops))
+    if op == "replace":
+        container[path[-1]] = draw(json_values)
+    elif op == "delete":
+        del container[path[-1]]
+    elif op == "add" and isinstance(target, dict):
+        target[draw(key_names | st.text(max_size=3))] = draw(json_values)
+    elif op == "add":
+        sibling = st.sampled_from(target).map(copy.deepcopy) if target else json_values
+        target.insert(draw(st.integers(0, len(target))), draw(sibling | json_values))
+    else:
+        i, j = draw(st.lists(st.integers(0, len(target) - 1), min_size=2, max_size=2,
+                             unique=True))
+        target[i], target[j] = target[j], target[i]

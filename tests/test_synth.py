@@ -307,12 +307,3 @@ class TestCorpusToSequences:
         assert sequences[0].label is Label.NORMAL
         assert sequences[1].label is Label.ATTACK
         assert [s.window_start for s in sequences] == [0.0, 1.0]
-
-    def test_existing_vocab_offsets_ids(self):
-        from flowlang.language import Vocabulary
-        vocab = Vocabulary()
-        vocab.add("tcp_b3")
-        sequences, vocab = corpus_to_sequences(
-            [([0, 1], Label.NORMAL)], alphabet_size=2, vocab=vocab)
-        assert vocab.token_of(1) == "s0"
-        assert sequences[0].token_ids == (1, 2)
