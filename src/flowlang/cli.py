@@ -24,6 +24,7 @@ from .evaluate import DEFAULT_PRECISION_NS, RANKINGS, EvalReport, evaluate
 from .flows import Label, parse_labeled_csv, parse_zeek_conn, sniff_format
 from .language import (
     SCHEME_KINDS,
+    WINDOWS,
     SessionPolicy,
     TokenScheme,
     Vocabulary,
@@ -63,7 +64,7 @@ def _score_row(index: int, s: Score) -> str:
 
 
 def _session_policy(text: str) -> SessionPolicy:
-    if text in ("hour", "day", "week"):
+    if text in WINDOWS:
         return SessionPolicy(kind=text)
     if text.startswith("gap:"):
         try:
@@ -246,30 +247,29 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_scores_csv(lines: Iterable[str]) -> dict[str, Score]:
-    """Parse cmd_score's CSV into {id: Score}. A row parses only when
-    _score_row writes what was parsed back as exactly that row."""
+def _parse_scores_csv(lines: Iterable[str]) -> list[Score]:
+    """Parse cmd_score's CSV into its scores, in row order. Data row k
+    parses only when _score_row(k, ...) writes what was parsed back as
+    exactly that row, so each id is its row's 0-based position."""
     it = iter(lines)
     if next(it, "").rstrip("\n") != SCORES_HEADER:
         raise FormatError(f"scores file must start with {SCORES_HEADER!r}")
-    rows: dict[str, Score] = {}
+    rows: list[Score] = []
     for lineno, raw in enumerate(it, start=2):
         line = raw.rstrip("\n")
         if not line:
             continue
         try:
-            seq_id, lik_text, loss_text, zero_text = line.split(",")
-            index, likelihood, loss = int(seq_id), float(lik_text), float(loss_text)
+            _, lik_text, loss_text, zero_text = line.split(",")
+            likelihood, loss = float(lik_text), float(loss_text)
             score = Score(
                 likelihood=likelihood,
                 log2_likelihood=math.log2(likelihood) if likelihood > 0.0 else -math.inf,
                 per_symbol_log_loss=loss, zero_likelihood=zero_text == "true", length=1)
-            if index < 0 or _score_row(index, score) != line:
+            if _score_row(len(rows), score) != line:
                 raise ValueError
         except ValueError:
             raise FormatError(f"line {lineno}: not as written: {line!r}") from None
-        if seq_id in rows:
-            raise FormatError(f"line {lineno}: duplicate id {seq_id!r}")
         if math.isnan(likelihood) or math.isnan(loss):
             raise FormatError(f"line {lineno}: NaN field")
         if not 0.0 <= likelihood <= 1.0:
@@ -280,7 +280,7 @@ def _parse_scores_csv(lines: Iterable[str]) -> dict[str, Score]:
                 f"likelihood {likelihood!r}")
         if loss < 0.0 or (loss == math.inf) != score.zero_likelihood:
             raise FormatError(f"line {lineno}: bad per_symbol_log_loss {loss!r}")
-        rows[seq_id] = score
+        rows.append(score)
     return rows
 
 
@@ -312,13 +312,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if len(rows) != len(seqs):
         raise DataError(
             f"scores file has {len(rows)} rows for {len(seqs)} sequences")
-    triples = []
-    for i, seq in enumerate(seqs):
-        seq_id = _seq_id(i)
-        score = rows.get(seq_id)
-        if score is None:
-            raise DataError(f"scores file is missing id {seq_id}")
-        triples.append((seq_id, score, seq.label))
+    triples = [(_seq_id(i), score, seq.label)
+               for i, (score, seq) in enumerate(zip(rows, seqs))]
 
     report = evaluate(
         triples, policy=_ZERO_POLICIES[args.zero_policy], rank=args.rank,

@@ -7,19 +7,19 @@ Sequences plus a vocabulary round-trip through a plain text format.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, TextIO
 
 from .errors import FormatError
 from .flows import FlowRecord, Label, total_bytes, total_pkts
 
-HOUR = 3600.0
-DAY = 86400.0
-WEEK = 604800.0
-
 SCHEME_KINDS = ("proto-bytes", "proto-density")
-SESSION_KINDS = ("hour", "day", "week", "gap")
+# Window session kinds and their sizes in seconds.
+WINDOWS = {"hour": 3600.0, "day": 86400.0, "week": 604800.0}
+SESSION_KINDS = (*WINDOWS, "gap")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,11 +70,15 @@ class Vocabulary:
 
     def add(self, token: str) -> int:
         """Register token if new; return its id either way."""
-        if not isinstance(token, str) or not token or any(c.isspace() for c in token):
+        # The type check comes before the lookup, so an unhashable value
+        # is a ValueError and not the dict's TypeError.
+        if not isinstance(token, str):
             raise ValueError(f"bad token text: {token!r}")
         existing = self._ids.get(token)
         if existing is not None:
             return existing
+        if not token or any(c.isspace() for c in token):
+            raise ValueError(f"bad token text: {token!r}")
         idx = len(self._tokens)
         self._ids[token] = idx
         self._tokens.append(token)
@@ -168,28 +172,21 @@ def _sort_key(flow: FlowRecord):
     )
 
 
-def _window_id(ts: float, policy: SessionPolicy) -> float:
-    size = {"hour": HOUR, "day": DAY, "week": WEEK}[policy.kind]
-    return math.floor(ts / size) * size
-
-
-def _split_sessions(flows: list[FlowRecord], policy: SessionPolicy) -> list[list[FlowRecord]]:
-    """Split one pair's time-sorted flows into sessions under the policy."""
-    sessions: list[list[FlowRecord]] = []
-    for flow in flows:
-        if sessions:
-            prev = sessions[-1][-1]
-            if policy.kind == "gap":
-                fresh = flow.ts - prev.ts > policy.gap_seconds
-            else:
-                fresh = _window_id(flow.ts, policy) != _window_id(prev.ts, policy)
-        else:
-            fresh = True
-        if fresh:
-            sessions.append([flow])
-        else:
-            sessions[-1].append(flow)
-    return sessions
+def _session_starts(flows: list[FlowRecord], policy: SessionPolicy) -> list[float]:
+    """The window_start of the session each of one pair's time-sorted
+    flows falls in: the start of its hour, day or week window, or under
+    gap the ts of the first flow after a silence longer than gap_seconds."""
+    size = WINDOWS.get(policy.kind)
+    if size is not None:
+        return [math.floor(f.ts / size) * size for f in flows]
+    starts = []
+    start = prev = -math.inf
+    for f in flows:
+        if f.ts - prev > policy.gap_seconds:
+            start = f.ts
+        starts.append(start)
+        prev = f.ts
+    return starts
 
 
 def _session_label(flows: list[FlowRecord]) -> Label:
@@ -233,13 +230,11 @@ def sessionize(
     sequences: list[Sequence] = []
     for pair in sorted(groups):
         members = sorted(groups[pair], key=_sort_key)
-        for session in _split_sessions(members, policy):
+        runs = zip(_session_starts(members, policy), members)
+        for start, run in itertools.groupby(runs, key=itemgetter(0)):
+            session = [f for _, f in run]
             if len(session) < min_length:
                 continue
-            if policy.kind == "gap":
-                start = session[0].ts
-            else:
-                start = _window_id(session[0].ts, policy)
             ids = tuple(vocab.add(tokenize(f, scheme)) for f in session)
             sequences.append(Sequence(
                 ip_low=pair[0], ip_high=pair[1], window_start=start,

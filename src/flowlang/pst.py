@@ -566,7 +566,9 @@ def load_model(source: TextIO) -> Pst:
     # make_tree took every context as a tuple of ints, so these keys compare.
     doc["nodes"] = sorted(nodes, key=lambda node: (len(node["context"]),
                                                    tuple(node["context"])))
-    written = _document(pst, doc.get("created"))
+    # created is a string when present; any other value differs from it.
+    created = doc.get("created")
+    written = _document(pst, created if isinstance(created, str) else None)
     differ = (doc.keys() ^ written.keys()) | {
         key for key in doc.keys() & written.keys() if doc[key] != written[key]}
     if differ:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from flowlang.language import Vocabulary
+from flowlang.flows import Label
+from flowlang.language import Vocabulary, _sort_key
 from flowlang.pst import Pst, PstParams
 from flowlang.synth import MarkovSpec
 
@@ -36,6 +37,48 @@ ZEEK_TEXT = (
     "10.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t900\t400\t4\t4\t0.5\n"
     "20.0\t10.0.0.9\t80\t10.0.0.1\t2222\ttcp\t-\t100\t1\t1\t-\n"
 )
+
+
+# ---------------------------------------------------------------------------
+# sessions
+
+
+def brute_sessions(flows, policy, min_length):
+    """Flows cut into sessions per endpoint pair, by comparing each flow's
+    timestamp with every other of its pair.
+
+    Returns (ip_low, ip_high, window_start, flows, label) per session of at
+    least min_length flows, ordered by pair and start, each session's flows
+    in sessionize's order. A window session starts at
+    floor(ts / size) * size. A gap session starts at each timestamp t that
+    is more than gap_seconds after every earlier timestamp of the pair,
+    and a flow belongs to the latest start at or before its ts.
+    """
+    sizes = {"hour": 3600.0, "day": 86400.0, "week": 604800.0}
+    pairs: dict[tuple[str, str], list] = {}
+    for f in flows:
+        pairs.setdefault(tuple(sorted((f.src_ip, f.dst_ip))), []).append(f)
+    sessions = []
+    for pair, members in sorted(pairs.items()):
+        times = [f.ts for f in members]
+        if policy.kind == "gap":
+            starts = [t for t in times
+                      if all(t - u > policy.gap_seconds for u in times if u < t)]
+            start_of = [max(s for s in starts if s <= f.ts) for f in members]
+        else:
+            size = sizes[policy.kind]
+            start_of = [math.floor(f.ts / size) * size for f in members]
+        for start in sorted(set(start_of)):
+            session = sorted((f for f, s in zip(members, start_of) if s == start),
+                             key=_sort_key)
+            if len(session) < min_length:
+                continue
+            labels = {f.label for f in session}
+            label = (Label.ATTACK if Label.ATTACK in labels
+                     else Label.NORMAL if Label.NORMAL in labels
+                     else Label.UNLABELED)
+            sessions.append((*pair, start, session, label))
+    return sessions
 
 
 # ---------------------------------------------------------------------------

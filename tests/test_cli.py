@@ -312,13 +312,14 @@ def parse_scores(path):
 
 
 @st.composite
-def score_rows(draw):
-    """Text for one data row of a scores CSV: a valid row with an id past
-    the scored ones and one character inserted, replaced or deleted, or
-    any line but a blank one."""
+def score_rows(draw, index):
+    """Text for data row `index` of a scores CSV: a valid row with id
+    `index` and one character inserted, replaced or deleted, or any line
+    but a blank one."""
     if draw(st.booleans()):
-        row = draw(st.sampled_from(["00000008,0.0,inf,true", "00000009,0.5,1.25,false",
-                                    "00000010,1.0,0.0,false", "00000011,5e-324,1074.0,false"]))
+        fields = draw(st.sampled_from(["0.0,inf,true", "0.5,1.25,false",
+                                       "1.0,0.0,false", "5e-324,1074.0,false"]))
+        row = f"{index:08d},{fields}"
         at = draw(st.integers(0, len(row)))
         edit = draw(st.sampled_from(["", *"0+-_. ,\rea\u0660"]))
         return row[:at] + edit + row[at + draw(st.integers(0, 1)):]
@@ -434,8 +435,8 @@ class TestScore:
     @given(seqs=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=40),
                          min_size=2, max_size=8),
            epsilon=st.sampled_from(["0.0", "0.0001", "0.01"]),
-           extra_rows=st.lists(score_rows(), max_size=10))
-    def test_output_reads_back(self, tmp_path_factory, seqs, epsilon, extra_rows):
+           data=st.data())
+    def test_output_reads_back(self, tmp_path_factory, seqs, epsilon, data):
         work = tmp_path_factory.mktemp("roundtrip")
         vocab = Vocabulary(f"t{i}_b{i}" for i in range(4))
         sequences = [Sequence("a", "b", float(i), tuple(ids))
@@ -457,18 +458,18 @@ class TestScore:
         assert len(rows) == len(sequences)
         for i, seq in enumerate(sequences):
             want = score_sequence(tree, [vocab.token_of(t) for t in seq.token_ids])
-            got = rows[f"{i:08d}"]
+            got = rows[i]
             assert (got.likelihood, got.per_symbol_log_loss, got.zero_likelihood) \
                 == (want.likelihood, want.per_symbol_log_loss, want.zero_likelihood)
 
         def written(rows):
             return SCORES_HEADER + "\n" + "".join(
-                _score_row(int(seq_id), s) + "\n" for seq_id, s in rows.items())
+                _score_row(i, s) + "\n" for i, s in enumerate(rows))
 
         text = scores.read_text(encoding="utf-8")
         assert written(rows) == text
         # Any further row is a FormatError or writes back as exactly itself.
-        for row in extra_rows:
+        for row in data.draw(st.lists(score_rows(len(rows)), max_size=10)):
             try:
                 parsed = _parse_scores_csv(io.StringIO(f"{text}{row}\n"))
             except FormatError:
@@ -625,6 +626,24 @@ class TestEvalRejectsBadRows:
                               "--out-dir", str(tmp_path / "r"))
         assert code == 3
         assert "line 3" in stderr
+
+    @pytest.mark.parametrize("order", [[1, 0], [0, 0], [1, 1], [0, 2]],
+                             ids=["swapped", "repeated-first", "repeated-second",
+                                  "skipped"])
+    def test_id_not_its_position_is_format_error(self, pipeline, tmp_path, capsys,
+                                                 order):
+        # Data rows 0 and 1 replaced by the data rows at `order`: the first
+        # row whose id is not its position is refused.
+        lines = (pipeline / "scores.csv").read_text().splitlines()
+        lines[1:3] = [lines[1 + k] for k in order]
+        scores = tmp_path / "s.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run(capsys, "eval", "--scores", str(scores),
+                              "--sequences", str(pipeline / "corpus.txt"),
+                              "--out-dir", str(tmp_path / "r"))
+        assert code == 3
+        line = 2 if order[0] else 3
+        assert stderr.startswith(f"format error: line {line}: ")
 
     def test_well_formed_zero_row_accepted(self, pipeline, tmp_path, capsys):
         scores = _with_row(pipeline, tmp_path / "s.csv", "0.0,inf,true")

@@ -5,7 +5,8 @@ Runs the documented commands with --no-timestamp and checks the summary
 lines the README shows and the sha256 of every file they write. One more
 `train --p-min 0 --depth 5` pins the exhaustive count: with p_min 0
 every context is frequent, so counting keeps every substring. `prepare`
-runs on the labeled CSV and the Zeek log the CLI tests use. Python
+runs on the labeled CSV and the Zeek log the CLI tests use, and on the
+CSV under day and gap sessions too. Python
 3.10, 3.11 and 3.12 write the same bytes, so a changed digest means the
 program's output changed, not the interpreter.
 """
@@ -60,19 +61,28 @@ def test_readme_quickstart_and_words(tmp_path, capsys):
         assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel
 
 
-@pytest.mark.parametrize("text, stdout, digest", [
-    (CSV_TEXT,
+@pytest.mark.parametrize("text, session, stdout, digest", [
+    (CSV_TEXT, "hour",
      ["rows: 5 read, 5 parsed, 0 rejected", "sequences: 3", "vocabulary: 4 tokens",
       "labels: 1 attack, 2 normal, 0 unlabeled"],
      "e61f80702c7f0fba7056be5095a425b281026dc0ef8b92816324a8e47971fa99"),
-    (ZEEK_TEXT,
+    (CSV_TEXT, "day",
+     ["rows: 5 read, 5 parsed, 0 rejected", "sequences: 2", "vocabulary: 4 tokens",
+      "labels: 1 attack, 1 normal, 0 unlabeled"],
+     "bc84c52437a9faa5371bbcb1019ac4873d25b29c3781834a02b4826248a7c094"),
+    (CSV_TEXT, "gap:60",
+     ["rows: 5 read, 5 parsed, 0 rejected", "sequences: 3", "vocabulary: 4 tokens",
+      "labels: 1 attack, 2 normal, 0 unlabeled"],
+     "419f20611d94962e1f93a8c09c0051fccab2a7dd90604e2bb433656a6de8949d"),
+    (ZEEK_TEXT, "hour",
      ["rows: 2 read, 2 parsed, 0 rejected", "sequences: 1", "vocabulary: 2 tokens",
       "labels: 0 attack, 0 normal, 1 unlabeled"],
      "b71cad7606a8e6639dfc1e5023de5b5052f850b1cb278e294bd9e2151d5718db"),
-], ids=["csv", "zeek"])
-def test_prepare(tmp_path, capsys, text, stdout, digest):
+], ids=["csv", "csv-day", "csv-gap60", "zeek"])
+def test_prepare(tmp_path, capsys, text, session, stdout, digest):
     src, out = tmp_path / "flows.in", tmp_path / "seqs.txt"
     src.write_text(text)
-    assert main(["prepare", "--in", str(src), "--out", str(out), "--no-timestamp"]) == 0
+    assert main(["prepare", "--in", str(src), "--out", str(out), "--session", session,
+                 "--no-timestamp"]) == 0
     assert capsys.readouterr().out.splitlines() == stdout
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

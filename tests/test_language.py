@@ -8,10 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_sessions
 from flowlang.cli import SCORES_HEADER, _parse_scores_csv
 from flowlang.errors import FormatError
 from flowlang.flows import FlowRecord, Label
 from flowlang.language import (
+    SCHEME_KINDS,
+    SESSION_KINDS,
     Sequence,
     SessionPolicy,
     TokenScheme,
@@ -243,6 +246,22 @@ small_flows = st.builds(
 )
 
 
+# Timestamps at and near hour, day and week boundaries, and on a 30 s grid
+# so that flows tie.
+session_flows = st.builds(
+    flow,
+    ts=st.sampled_from([-3600.0, -1.0, 59.5, 3599.0, 3600.0, 86399.0, 86400.0,
+                        604799.0, 604800.0])
+    | st.integers(-4, 4).map(lambda k: k * 30.0)
+    | st.floats(min_value=-2e6, max_value=2e6),
+    src=st.sampled_from(["10.0.0.1", "10.0.0.2"]),
+    dst=st.sampled_from(["10.0.0.1", "10.0.0.3"]),
+    orig_bytes=st.integers(0, 4096),
+    label=st.sampled_from(list(Label)),
+    src_port=st.integers(1, 3),
+)
+
+
 class TestSessionizeProperties:
     @settings(max_examples=100)
     @given(st.lists(small_flows, max_size=40), st.randoms(use_true_random=False))
@@ -288,6 +307,26 @@ class TestSessionizeProperties:
                if (s.ip_low, s.ip_high) == pair and s.window_start == window]
         assert len(hit) == 1
         assert hit[0].label is Label.ATTACK
+
+    @settings(max_examples=300)
+    @given(st.lists(session_flows, max_size=30), st.sampled_from(SESSION_KINDS),
+           st.integers(1, 3), st.sampled_from(SCHEME_KINDS), st.data())
+    def test_matches_brute_sessions(self, flows, kind, min_length, scheme_kind, data):
+        # A gap equal to a silence between two flows is the edge case.
+        silences = sorted({abs(a.ts - b.ts) for a in flows for b in flows} - {0.0})
+        gaps = st.floats(min_value=1e-3, max_value=1e7)
+        policy = SessionPolicy(kind, data.draw(
+            st.sampled_from(silences) | gaps if silences else gaps))
+        scheme = TokenScheme(kind=scheme_kind)
+        sequences, vocab = sessionize(flows, scheme, policy, min_length)
+        want = [Sequence(lo, hi, start,
+                         tuple(vocab.id_of(tokenize(f, scheme)) for f in session), label)
+                for lo, hi, start, session, label
+                in brute_sessions(flows, policy, min_length)]
+        assert sequences == want
+        # Ids are given in order of first use.
+        assert vocab.tokens() == list(dict.fromkeys(
+            vocab.token_of(i) for s in sequences for i in s.token_ids))
 
 
 # Endpoint text: any character but the 29 that str.isspace() accepts,
@@ -478,10 +517,10 @@ class TestSequenceFile:
                       position: text}
             lines = [SCORES_HEADER + "\n", ",".join(fields.values()) + ",false\n"]
             try:
-                ((seq_id, score),) = _parse_scores_csv(lines).items()
+                (score,) = _parse_scores_csv(lines)
             except FormatError:
                 return
-            assert {"score-id": f"{int(seq_id):08d}",
+            assert {"score-id": "00000000",
                     "likelihood": repr(score.likelihood),
                     "loss": repr(score.per_symbol_log_loss)}[position] == text
             return

@@ -799,12 +799,16 @@ class TestModelIO:
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d.update(extra=1), "extra"),
         (lambda d: d.update(created=None), "created"),
+        (lambda d: d.update(created={"a": [1, 2]}), "created"),
+        (lambda d: d.update(created=5), "created"),
+        (lambda d: d.update(created=True), "created"),
         (lambda d: d["training"].update(extra=1), "training"),
         (lambda d: d["nodes"][0].update(extra=1), "nodes"),
         (lambda d: d["nodes"][0]["dist"].reverse(), "nodes"),
         (lambda d: d["nodes"][0]["dist"].append(list(d["nodes"][0]["dist"][0])), "nodes"),
         (lambda d: d["params"].update(tau=2**60 + 1), "params"),
-    ], ids=["extra-key", "null-created", "extra-training-key", "extra-node-key",
+    ], ids=["extra-key", "null-created", "object-created", "int-created",
+            "bool-created", "extra-training-key", "extra-node-key",
             "dist-rows-out-of-order", "duplicate-dist-row", "int-not-its-float"])
     def test_not_as_written_rejected(self, mutate, field):
         with pytest.raises(CorruptModelError, match=f"differs .*: {field}$"):
