@@ -249,8 +249,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def _parse_scores_csv(lines: Iterable[str]) -> list[Score]:
     """Parse cmd_score's CSV into its scores, in row order. Data row k
-    parses only when _score_row(k, ...) writes what was parsed back as
-    exactly that row, so each id is its row's 0-based position."""
+    parses only when it builds a Score that _score_row(k, ...) writes back
+    as exactly that row, so each id is its row's 0-based position and
+    every value is one Score accepts."""
     it = iter(lines)
     if next(it, "").rstrip("\n") != SCORES_HEADER:
         raise FormatError(f"scores file must start with {SCORES_HEADER!r}")
@@ -260,26 +261,15 @@ def _parse_scores_csv(lines: Iterable[str]) -> list[Score]:
         if not line:
             continue
         try:
-            _, lik_text, loss_text, zero_text = line.split(",")
-            likelihood, loss = float(lik_text), float(loss_text)
-            score = Score(
-                likelihood=likelihood,
-                log2_likelihood=math.log2(likelihood) if likelihood > 0.0 else -math.inf,
-                per_symbol_log_loss=loss, zero_likelihood=zero_text == "true", length=1)
+            _, lik_text, loss_text, _ = line.split(",")
+            likelihood = float(lik_text)
+            score = Score(likelihood,
+                          math.log2(likelihood) if likelihood > 0.0 else -math.inf,
+                          float(loss_text), 1)
             if _score_row(len(rows), score) != line:
                 raise ValueError
         except ValueError:
             raise FormatError(f"line {lineno}: not as written: {line!r}") from None
-        if math.isnan(likelihood) or math.isnan(loss):
-            raise FormatError(f"line {lineno}: NaN field")
-        if not 0.0 <= likelihood <= 1.0:
-            raise FormatError(f"line {lineno}: likelihood {likelihood!r} outside [0, 1]")
-        if score.zero_likelihood != (likelihood == 0.0):
-            raise FormatError(
-                f"line {lineno}: zero_likelihood {zero_text} disagrees with "
-                f"likelihood {likelihood!r}")
-        if loss < 0.0 or (loss == math.inf) != score.zero_likelihood:
-            raise FormatError(f"line {lineno}: bad per_symbol_log_loss {loss!r}")
         rows.append(score)
     return rows
 

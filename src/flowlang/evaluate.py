@@ -28,7 +28,6 @@ class ScoredExample:
     id: str
     anomaly_score: float
     label: Label
-    zero_likelihood: bool = False
 
     def __post_init__(self):
         # NaN compares false both ways, so it would sort anywhere and turn
@@ -96,10 +95,7 @@ def make_scored(
             value = score.per_symbol_log_loss
         else:
             value = -score.likelihood
-        examples.append(ScoredExample(
-            id=seq_id, anomaly_score=value, label=label,
-            zero_likelihood=score.zero_likelihood,
-        ))
+        examples.append(ScoredExample(id=seq_id, anomaly_score=value, label=label))
     return examples
 
 

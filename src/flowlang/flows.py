@@ -110,8 +110,11 @@ def total_pkts(flow: FlowRecord) -> int:
 @dataclass
 class IngestStats:
     rows_read: int = 0
-    rows_parsed: int = 0
     rows_rejected: int = 0
+
+    @property
+    def rows_parsed(self) -> int:
+        return self.rows_read - self.rows_rejected
 
 
 def _parse_float(text: str) -> float:
@@ -159,7 +162,6 @@ def _ingest(rows: Iterable[_Row]) -> tuple[list[FlowRecord], IngestStats]:
         except ValueError as exc:
             stats.rows_rejected += 1
             logger.debug("rejected line %d: %s", lineno, exc)
-    stats.rows_parsed = len(records)
     return records, stats
 
 

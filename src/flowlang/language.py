@@ -175,10 +175,12 @@ def _sort_key(flow: FlowRecord):
 def _session_starts(flows: list[FlowRecord], policy: SessionPolicy) -> list[float]:
     """The window_start of the session each of one pair's time-sorted
     flows falls in: the start of its hour, day or week window, or under
-    gap the ts of the first flow after a silence longer than gap_seconds."""
+    gap the ts of the first flow after a silence longer than gap_seconds.
+    A window start is ts less its remainder: the largest multiple of the
+    size not above ts, finite for every finite ts (+ 0.0 makes -0.0 0.0)."""
     size = WINDOWS.get(policy.kind)
     if size is not None:
-        return [math.floor(f.ts / size) * size for f in flows]
+        return [f.ts - f.ts % size + 0.0 for f in flows]
     starts = []
     start = prev = -math.inf
     for f in flows:

@@ -24,7 +24,7 @@ MODEL_VERSION = 1
 
 # Smallest positive float; reported instead of 0.0 when the likelihood
 # underflows but the log-likelihood is finite, so likelihood == 0 remains
-# synonymous with the zero_likelihood flag.
+# synonymous with an infinite loss, as Score requires.
 _TINY = 5e-324
 
 
@@ -417,21 +417,28 @@ def lookup_context(pst: Pst, history: Seq[int]) -> PstNode:
 
 @dataclass(frozen=True, slots=True)
 class Score:
+    """A sequence's likelihood under a tree. Construction raises ValueError
+    unless 0 <= likelihood <= 1, log2_likelihood <= 0 <= per_symbol_log_loss,
+    and likelihood is 0 exactly when the loss is inf, which is exactly when
+    log2_likelihood is -inf. A NaN fails these tests, so no Score holds one."""
     likelihood: float
     log2_likelihood: float
     per_symbol_log_loss: float
-    zero_likelihood: bool
     length: int
+
+    def __post_init__(self):
+        lik, log2, loss = self.likelihood, self.log2_likelihood, self.per_symbol_log_loss
+        if not (0.0 <= lik <= 1.0 and log2 <= 0.0 <= loss
+                and (lik == 0.0) == (loss == math.inf) == (log2 == -math.inf)):
+            raise ValueError(f"not a valid score: {self!r}")
+
+    @property
+    def zero_likelihood(self) -> bool:
+        return self.likelihood == 0.0
 
 
 def _zero_score(length: int) -> Score:
-    return Score(
-        likelihood=0.0,
-        log2_likelihood=-math.inf,
-        per_symbol_log_loss=math.inf,
-        zero_likelihood=True,
-        length=length,
-    )
+    return Score(0.0, -math.inf, math.inf, length)
 
 
 def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
@@ -449,7 +456,7 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
     texts = list(tokens)
     n = len(texts)
     if n == 0:
-        return Score(1.0, 0.0, 0.0, False, 0)
+        return Score(1.0, 0.0, 0.0, 0)
 
     ids: list[int] = []
     for t in texts:
@@ -470,7 +477,7 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
     if likelihood == 0.0:
         likelihood = _TINY
     loss = -log2_lik / n + 0.0
-    return Score(likelihood, log2_lik, loss, False, n)
+    return Score(likelihood, log2_lik, loss, n)
 
 
 def flag_anomalies(scores: Iterable[tuple[str, Score]],

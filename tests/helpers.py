@@ -49,12 +49,13 @@ def brute_sessions(flows, policy, min_length):
 
     Returns (ip_low, ip_high, window_start, flows, label) per session of at
     least min_length flows, ordered by pair and start, each session's flows
-    in sessionize's order. A window session starts at
-    floor(ts / size) * size. A gap session starts at each timestamp t that
+    in sessionize's order. A window session starts at the largest
+    multiple of size not above ts, found in exact arithmetic and then
+    rounded to a float. A gap session starts at each timestamp t that
     is more than gap_seconds after every earlier timestamp of the pair,
     and a flow belongs to the latest start at or before its ts.
     """
-    sizes = {"hour": 3600.0, "day": 86400.0, "week": 604800.0}
+    sizes = {"hour": 3600, "day": 86400, "week": 604800}
     pairs: dict[tuple[str, str], list] = {}
     for f in flows:
         pairs.setdefault(tuple(sorted((f.src_ip, f.dst_ip))), []).append(f)
@@ -67,7 +68,7 @@ def brute_sessions(flows, policy, min_length):
             start_of = [max(s for s in starts if s <= f.ts) for f in members]
         else:
             size = sizes[policy.kind]
-            start_of = [math.floor(f.ts / size) * size for f in members]
+            start_of = [float(Fraction(f.ts) // size * size) for f in members]
         for start in sorted(set(start_of)):
             session = sorted((f for f, s in zip(members, start_of) if s == start),
                              key=_sort_key)

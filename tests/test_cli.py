@@ -212,6 +212,22 @@ class TestPrepare:
         _, vocab = read_corpus(out)
         assert f"tcp_d{'9' * 399}" in vocab
 
+    @pytest.mark.parametrize("session", ["hour", "day", "week", "gap:60"])
+    @pytest.mark.parametrize("ts", ["1.7976931348623157e308", "-1.7976931348623157e308",
+                                    "-5e-324"])
+    def test_window_start_at_float_extremes(self, tmp_path, capsys, session, ts):
+        # Every finite ts has a finite session start that is not after it.
+        src = tmp_path / "flows.csv"
+        src.write_text(CSV_TEXT.splitlines()[0]
+                       + f"\n{ts},10.0.0.1,1,10.0.0.2,2,tcp,1,0,1,0,0.0,normal\n")
+        out = tmp_path / "seqs.txt"
+        code, stdout, stderr = run(capsys, "prepare", "--in", str(src), "--out", str(out),
+                                   "--session", session)
+        assert (code, stderr) == (0, "")
+        assert "rows: 1 read, 1 parsed, 0 rejected" in stdout
+        (seq,), _ = read_corpus(out)
+        assert seq.window_start <= float(ts)
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

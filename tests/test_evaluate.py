@@ -29,10 +29,10 @@ def ok_score(loss, likelihood=None, length=4):
     if likelihood is None:
         likelihood = 2.0 ** (-loss * length)
     return Score(likelihood, math.log2(likelihood) if likelihood else -math.inf,
-                 loss, False, length)
+                 loss, length)
 
 
-ZERO = Score(0.0, -math.inf, math.inf, True, 3)
+ZERO = Score(0.0, -math.inf, math.inf, 3)
 
 
 def ex(i, value, label=Label.NORMAL):
@@ -53,7 +53,6 @@ class TestMakeScored:
         by_id = {e.id: e for e in examples}
         assert by_id["s2"].anomaly_score == math.inf
         assert by_id["s2"].anomaly_score > by_id["s1"].anomaly_score
-        assert by_id["s2"].zero_likelihood
 
     def test_unlabeled_always_dropped(self):
         triples = [("s1", ok_score(1.0), Label.UNLABELED),
@@ -316,17 +315,15 @@ class TestEvaluate:
 
     def test_nan_score_refused(self):
         # Perfectly separated, so the AUC is 1.0; a NaN loss on one attack
-        # would sort anywhere and make it a plausible but wrong 0.5.
-        nan_loss = Score(0.5, -1.0, math.nan, False, 1)
-        triples = [("n1", ok_score(1.0), Label.NORMAL),
-                   ("n2", ok_score(1.5), Label.NORMAL),
-                   ("a1", ok_score(5.0), Label.ATTACK),
-                   ("a2", nan_loss, Label.ATTACK)]
-        assert evaluate(triples[:3]).auc == 1.0
+        # would sort anywhere and make it a plausible but wrong 0.5. Score
+        # refuses it, and so does ScoredExample, which library callers
+        # build themselves for roc_curve and histogram.
+        examples = [ex(0, 1.0), ex(1, 1.5), ex(2, 5.0, Label.ATTACK)]
+        assert auc(roc_curve(examples)) == 1.0
+        with pytest.raises(ValueError):
+            Score(0.5, -1.0, math.nan, 1)
         with pytest.raises(ValueError, match="NaN"):
-            evaluate(triples)
-        with pytest.raises(ValueError, match="NaN"):
-            ex(0, math.nan)
+            ex(3, math.nan, Label.ATTACK)
 
     def test_single_class_raises(self):
         triples = [("a", ok_score(1.0), Label.NORMAL),

@@ -246,12 +246,13 @@ small_flows = st.builds(
 )
 
 
-# Timestamps at and near hour, day and week boundaries, and on a 30 s grid
-# so that flows tie.
+# Timestamps at and near hour, day and week boundaries, at the ends of
+# the float range, and on a 30 s grid so that flows tie.
 session_flows = st.builds(
     flow,
     ts=st.sampled_from([-3600.0, -1.0, 59.5, 3599.0, 3600.0, 86399.0, 86400.0,
-                        604799.0, 604800.0])
+                        604799.0, 604800.0, 1.7976931348623157e308,
+                        -1.7976931348623157e308, -5e-324, -0.0])
     | st.integers(-4, 4).map(lambda k: k * 30.0)
     | st.floats(min_value=-2e6, max_value=2e6),
     src=st.sampled_from(["10.0.0.1", "10.0.0.2"]),
@@ -312,8 +313,11 @@ class TestSessionizeProperties:
     @given(st.lists(session_flows, max_size=30), st.sampled_from(SESSION_KINDS),
            st.integers(1, 3), st.sampled_from(SCHEME_KINDS), st.data())
     def test_matches_brute_sessions(self, flows, kind, min_length, scheme_kind, data):
-        # A gap equal to a silence between two flows is the edge case.
-        silences = sorted({abs(a.ts - b.ts) for a in flows for b in flows} - {0.0})
+        # A gap equal to a silence between two flows is the edge case. The
+        # silence between the ends of the float range overflows to inf,
+        # which is no gap.
+        silences = sorted({abs(a.ts - b.ts) for a in flows for b in flows}
+                          - {0.0, math.inf})
         gaps = st.floats(min_value=1e-3, max_value=1e7)
         policy = SessionPolicy(kind, data.draw(
             st.sampled_from(silences) | gaps if silences else gaps))

@@ -497,11 +497,51 @@ class TestLookup:
         assert lookup_context(pst, [7]) is pst.root
 
 
+class TestScoreRules:
+    # The property below derives log2_likelihood from the likelihood; these
+    # give it a value of its own.
+    @pytest.mark.parametrize("args", [
+        (0.5, -1.0, math.nan, 1),
+        (0.0, 0.0, 1.0, 1),
+        (0.5, -math.inf, 1.0, 1),
+        (0.0, -1.0, math.inf, 1),
+        (0.5, math.nan, 1.0, 1),
+        (0.5, 0.5, 1.0, 1),
+    ])
+    def test_invalid_score_refused(self, args):
+        with pytest.raises(ValueError, match="not a valid score"):
+            Score(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        likelihood=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                             st.sampled_from([0.0, 1.0, 0.5, 5e-324])),
+        loss=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([0.0, math.inf, 1.25])),
+    )
+    def test_constructs_iff_valid(self, likelihood, loss):
+        # The draws and the predicate of the CLI's
+        # test_exit_code_iff_row_valid, without its written flag.
+        valid = (
+            0.0 <= likelihood <= 1.0
+            and loss >= 0.0
+            and (likelihood == 0.0) == (loss == math.inf)
+        )
+        log2 = math.log2(likelihood) if likelihood > 0.0 else -math.inf
+        try:
+            score = Score(likelihood, log2, loss, 1)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
+            assert score.zero_likelihood == (likelihood == 0.0)
+
+
 class TestScore:
     def test_empty_sequence(self):
         pst = train([[A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
         score = score_sequence(pst, [])
-        assert score == Score(1.0, 0.0, 0.0, False, 0)
+        assert score == Score(1.0, 0.0, 0.0, 0)
 
     def test_out_of_vocabulary_token(self):
         pst = train([[A, B, A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
@@ -598,9 +638,9 @@ class TestFlagAnomalies:
     @staticmethod
     def fake(likelihood, length=1):
         if likelihood == 0.0:
-            return Score(0.0, -math.inf, math.inf, True, length)
+            return Score(0.0, -math.inf, math.inf, length)
         log2 = math.log2(likelihood)
-        return Score(likelihood, log2, -log2 / length, False, length)
+        return Score(likelihood, log2, -log2 / length, length)
 
     def test_hand_example(self):
         scores = [("s1", self.fake(0.5)), ("s2", self.fake(1e-9)),
