@@ -12,7 +12,6 @@ import argparse
 import datetime
 import itertools
 import json
-import math
 import os
 import sys
 from importlib import resources
@@ -262,10 +261,7 @@ def _parse_scores_csv(lines: Iterable[str]) -> list[Score]:
             continue
         try:
             _, lik_text, loss_text, _ = line.split(",")
-            likelihood = float(lik_text)
-            score = Score(likelihood,
-                          math.log2(likelihood) if likelihood > 0.0 else -math.inf,
-                          float(loss_text), 1)
+            score = Score(float(lik_text), float(loss_text))
             if _score_row(len(rows), score) != line:
                 raise ValueError
         except ValueError:

@@ -257,8 +257,6 @@ class Pst:
         """P(sym | node) with the uniform epsilon floor mixed in."""
         raw = node.dist.get(sym, 0.0)
         eps = self.params.epsilon
-        if eps == 0.0:
-            return raw
         return (1.0 - len(self.vocab) * eps) * raw + eps
 
     def smoothed_dist(self, node: PstNode) -> dict[int, float]:
@@ -417,19 +415,17 @@ def lookup_context(pst: Pst, history: Seq[int]) -> PstNode:
 
 @dataclass(frozen=True, slots=True)
 class Score:
-    """A sequence's likelihood under a tree. Construction raises ValueError
-    unless 0 <= likelihood <= 1, log2_likelihood <= 0 <= per_symbol_log_loss,
-    and likelihood is 0 exactly when the loss is inf, which is exactly when
-    log2_likelihood is -inf. A NaN fails these tests, so no Score holds one."""
+    """A sequence's likelihood under a tree and its per-symbol log loss, the
+    two numbers the scores CSV holds. Construction raises ValueError unless
+    0 <= likelihood <= 1, per_symbol_log_loss >= 0, and likelihood is 0
+    exactly when the loss is inf. A NaN fails these tests, so no Score
+    holds one."""
     likelihood: float
-    log2_likelihood: float
     per_symbol_log_loss: float
-    length: int
 
     def __post_init__(self):
-        lik, log2, loss = self.likelihood, self.log2_likelihood, self.per_symbol_log_loss
-        if not (0.0 <= lik <= 1.0 and log2 <= 0.0 <= loss
-                and (lik == 0.0) == (loss == math.inf) == (log2 == -math.inf)):
+        lik, loss = self.likelihood, self.per_symbol_log_loss
+        if not (0.0 <= lik <= 1.0 and loss >= 0.0 and (lik == 0.0) == (loss == math.inf)):
             raise ValueError(f"not a valid score: {self!r}")
 
     @property
@@ -437,8 +433,7 @@ class Score:
         return self.likelihood == 0.0
 
 
-def _zero_score(length: int) -> Score:
-    return Score(0.0, -math.inf, math.inf, length)
+_ZERO_SCORE = Score(0.0, math.inf)
 
 
 def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
@@ -456,13 +451,13 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
     texts = list(tokens)
     n = len(texts)
     if n == 0:
-        return Score(1.0, 0.0, 0.0, 0)
+        return Score(1.0, 0.0)
 
     ids: list[int] = []
     for t in texts:
         i = pst.vocab.id_of(t)
         if i is None:
-            return _zero_score(n)
+            return _ZERO_SCORE
         ids.append(i)
 
     depth = pst.params.depth
@@ -470,14 +465,14 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
     for i, sym in enumerate(ids):
         lp = lookup_context(pst, ids[i - depth if i > depth else 0:i]).log2_row[sym]
         if lp == -math.inf:
-            return _zero_score(n)
+            return _ZERO_SCORE
         log2_lik += lp
 
     likelihood = 2.0 ** log2_lik
     if likelihood == 0.0:
         likelihood = _TINY
     loss = -log2_lik / n + 0.0
-    return Score(likelihood, log2_lik, loss, n)
+    return Score(likelihood, loss)
 
 
 def flag_anomalies(scores: Iterable[tuple[str, Score]],

@@ -15,7 +15,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import CSV_TEXT, ZEEK_TEXT
@@ -24,7 +24,8 @@ from flowlang.cli import SCORES_HEADER, _parse_scores_csv, _score_row, main
 from flowlang.errors import FormatError
 from flowlang.flows import Label
 from flowlang.language import Sequence, Vocabulary, read_sequences, write_sequences
-from flowlang.pst import load_model, score_sequence
+from flowlang.pst import (
+    PstParams, build_tree, count_contexts, load_model, score_sequence)
 
 
 def run(capsys, *argv):
@@ -473,10 +474,7 @@ class TestScore:
             tree = load_model(fh)
         assert len(rows) == len(sequences)
         for i, seq in enumerate(sequences):
-            want = score_sequence(tree, [vocab.token_of(t) for t in seq.token_ids])
-            got = rows[i]
-            assert (got.likelihood, got.per_symbol_log_loss, got.zero_likelihood) \
-                == (want.likelihood, want.per_symbol_log_loss, want.zero_likelihood)
+            assert rows[i] == score_sequence(tree, [vocab.token_of(t) for t in seq.token_ids])
 
         def written(rows):
             return SCORES_HEADER + "\n" + "".join(
@@ -491,6 +489,28 @@ class TestScore:
             except FormatError:
                 continue
             assert written(parsed) == f"{text}{row}\n"
+
+    # "c" never occurs in training, so it scores zero unless smoothed;
+    # UNDERFLOW's likelihood underflows under both trees.
+    TREES = [build_tree(count_contexts([[0, 1, 0, 0, 1, 1] * 10], 2),
+                        PstParams(depth=2, p_min=0.0, threshold=0.0, tau=1.0, epsilon=eps),
+                        Vocabulary(["a", "b", "c"]))
+             for eps in (0.0, 0.01)]
+    UNDERFLOW = ["a", "b"] * 3000
+
+    @settings(max_examples=100, deadline=None)
+    @given(smoothed=st.booleans(),
+           probes=st.lists(st.one_of(st.lists(st.sampled_from(["a", "b", "c", "zz"]),
+                                              max_size=30),
+                                     st.just(UNDERFLOW)),
+                           max_size=6))
+    @example(smoothed=False, probes=[[], ["zz"], UNDERFLOW])
+    @example(smoothed=True, probes=[[], ["a", "zz"], UNDERFLOW])
+    def test_scores_csv_round_trips(self, smoothed, probes):
+        # What eval reads back is exactly the Score that score computed.
+        scores = [score_sequence(self.TREES[smoothed], probe) for probe in probes]
+        lines = [SCORES_HEADER + "\n", *(_score_row(i, s) + "\n" for i, s in enumerate(scores))]
+        assert _parse_scores_csv(lines) == scores
 
 
 class TestEval:

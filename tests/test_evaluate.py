@@ -28,11 +28,10 @@ from flowlang.pst import Score
 def ok_score(loss, likelihood=None, length=4):
     if likelihood is None:
         likelihood = 2.0 ** (-loss * length)
-    return Score(likelihood, math.log2(likelihood) if likelihood else -math.inf,
-                 loss, length)
+    return Score(likelihood, loss)
 
 
-ZERO = Score(0.0, -math.inf, math.inf, 3)
+ZERO = Score(0.0, math.inf)
 
 
 def ex(i, value, label=Label.NORMAL):
@@ -321,7 +320,7 @@ class TestEvaluate:
         examples = [ex(0, 1.0), ex(1, 1.5), ex(2, 5.0, Label.ATTACK)]
         assert auc(roc_curve(examples)) == 1.0
         with pytest.raises(ValueError):
-            Score(0.5, -1.0, math.nan, 1)
+            Score(0.5, math.nan)
         with pytest.raises(ValueError, match="NaN"):
             ex(3, math.nan, Label.ATTACK)
 

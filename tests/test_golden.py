@@ -4,7 +4,8 @@ output bytes.
 Runs the documented commands with --no-timestamp and checks the summary
 lines the README shows and the sha256 of every file they write. One more
 `train --p-min 0 --depth 5` pins the exhaustive count: with p_min 0
-every context is frequent, so counting keeps every substring. `prepare`
+every context is frequent, so counting keeps every substring. `eval`
+runs under both rankings, logloss and likelihood. `prepare`
 runs on the labeled CSV and the Zeek log the CLI tests use, and on the
 CSV under day and gap sessions too. Python
 3.10, 3.11 and 3.12 write the same bytes, so a changed digest means the
@@ -49,9 +50,12 @@ def test_readme_quickstart_and_words(tmp_path, capsys):
     assert out[0] == "scored 2000 sequences: 94 flagged below 1e-30, 0 zero-likelihood"
     assert out[1] == "flag 00001582"
     assert len(out) == 1 + 94
-    out = run("eval", "--scores", scores, "--sequences", corpus, "--out-dir", report)
-    assert out == ["auc: 1.0", "examples: 95 attack, 1905 normal, 0 zero-likelihood",
-                   "precision@10: 1.0", "precision@50: 1.0", "precision@100: 0.95"]
+    for rank_args, out_dir in (((), report),
+                               (("--rank", "likelihood"), tmp_path / "report-likelihood")):
+        out = run("eval", "--scores", scores, "--sequences", corpus, *rank_args,
+                  "--out-dir", out_dir)
+        assert out == ["auc: 1.0", "examples: 95 attack, 1905 normal, 0 zero-likelihood",
+                       "precision@10: 1.0", "precision@50: 1.0", "precision@100: 0.95"]
     out = run("words", "--out", tmp_path / "words.tsv")
     assert out == ["scored 2578 words against a 427-node tree"]
     written = {str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")

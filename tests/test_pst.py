@@ -498,15 +498,9 @@ class TestLookup:
 
 
 class TestScoreRules:
-    # The property below derives log2_likelihood from the likelihood; these
-    # give it a value of its own.
     @pytest.mark.parametrize("args", [
-        (0.5, -1.0, math.nan, 1),
-        (0.0, 0.0, 1.0, 1),
-        (0.5, -math.inf, 1.0, 1),
-        (0.0, -1.0, math.inf, 1),
-        (0.5, math.nan, 1.0, 1),
-        (0.5, 0.5, 1.0, 1),
+        (0.5, math.nan),
+        (0.0, 1.0),
     ])
     def test_invalid_score_refused(self, args):
         with pytest.raises(ValueError, match="not a valid score"):
@@ -527,9 +521,8 @@ class TestScoreRules:
             and loss >= 0.0
             and (likelihood == 0.0) == (loss == math.inf)
         )
-        log2 = math.log2(likelihood) if likelihood > 0.0 else -math.inf
         try:
-            score = Score(likelihood, log2, loss, 1)
+            score = Score(likelihood, loss)
         except ValueError:
             assert not valid
         else:
@@ -541,7 +534,7 @@ class TestScore:
     def test_empty_sequence(self):
         pst = train([[A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
         score = score_sequence(pst, [])
-        assert score == Score(1.0, 0.0, 0.0, 0)
+        assert score == Score(1.0, 0.0)
 
     def test_out_of_vocabulary_token(self):
         pst = train([[A, B, A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
@@ -549,8 +542,6 @@ class TestScore:
         assert score.zero_likelihood
         assert score.likelihood == 0.0
         assert score.per_symbol_log_loss == math.inf
-        assert score.log2_likelihood == -math.inf
-        assert score.length == 2
 
     def test_unseen_transition_without_smoothing(self):
         pst = train([[A, B, A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
@@ -590,7 +581,7 @@ class TestScore:
             assert score.likelihood == 0.0
         else:
             assert not score.zero_likelihood
-            assert math.isclose(score.log2_likelihood, brute_log2,
+            assert math.isclose(-score.per_symbol_log_loss * len(probe), brute_log2,
                                 rel_tol=1e-9, abs_tol=1e-12)
             assert math.isclose(score.likelihood, brute_lik,
                                 rel_tol=1e-9, abs_tol=0.0)
@@ -609,11 +600,16 @@ class TestScore:
             anomaly_fraction=0.0, seed=9))
         log2_ref = 0.0
         for i in range(len(ids)):
+            if i == 4096:
+                log2_ref_4096 = log2_ref
             log2_ref += math.log2(pst.smoothed(lookup_context(pst, ids[:i]), ids[i]))
         score = score_sequence(pst, texts(ids))
-        assert score.log2_likelihood == log2_ref
         assert score.per_symbol_log_loss == -log2_ref / len(ids)
         assert score.likelihood == max(2.0 ** log2_ref, 5e-324)
+        # Dividing by a power of two is exact, so the loss of the 4096-token
+        # prefix gives back its log2 sum bit for bit.
+        prefix = score_sequence(pst, texts(ids[:4096]))
+        assert -prefix.per_symbol_log_loss * 4096 == log2_ref_4096
 
     @settings(max_examples=100, deadline=None)
     @given(corpus_strategy, params_strategy, st.integers(0, 9))
@@ -636,11 +632,8 @@ class TestScore:
 
 class TestFlagAnomalies:
     @staticmethod
-    def fake(likelihood, length=1):
-        if likelihood == 0.0:
-            return Score(0.0, -math.inf, math.inf, length)
-        log2 = math.log2(likelihood)
-        return Score(likelihood, log2, -log2 / length, length)
+    def fake(likelihood):
+        return Score(likelihood, -math.log2(likelihood) if likelihood else math.inf)
 
     def test_hand_example(self):
         scores = [("s1", self.fake(0.5)), ("s2", self.fake(1e-9)),
