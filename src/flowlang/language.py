@@ -329,6 +329,7 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
             raise FormatError(f"line {lineno}: {exc}") from None
 
     sequences: list[Sequence] = []
+    size = len(vocab)
     for lineno, raw in it:
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):
@@ -339,8 +340,9 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
                            tuple(map(int, ids.split(" "))), Label(label))
             if _sequence_line(seq) != line:
                 raise ValueError(f"not as written: {line!r}")
-            for i in seq.token_ids:
-                vocab.token_of(i)
+            low, high = min(seq.token_ids), max(seq.token_ids)
+            if low < 0 or high >= size:
+                raise ValueError(f"token id out of range: {low if low < 0 else high}")
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         sequences.append(seq)

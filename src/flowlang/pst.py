@@ -3,7 +3,10 @@
 The tree stores contexts (recent-history suffixes) with their empirical
 next-symbol distributions. Construction keeps a context only when it is
 frequent enough and predicts some symbol markedly differently from its
-own suffix; scoring walks the longest stored suffix per position.
+own suffix. Scoring runs the tree's suffix automaton: one state per
+prefix of a stored context, each carrying the row of its longest stored
+suffix, so each position costs one edge step instead of a walk back
+through the tree.
 """
 
 from __future__ import annotations
@@ -241,6 +244,8 @@ class Pst:
     vocab: Vocabulary
     n_train_sequences: int = 0
     n_train_tokens: int = 0
+    # The start state of the scoring automaton (see _automaton).
+    automaton: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def root(self) -> PstNode:
@@ -314,7 +319,50 @@ def make_tree(dists: dict[tuple[int, ...], dict[int, float]], params: PstParams,
                                  f"the suffix of {list(ctx)}")
             parent.children[ctx[0]] = node
         pst.nodes.append(node)
+    pst.automaton = _automaton(nodes, m)
     return pst
+
+
+def _automaton(nodes: dict[tuple[int, ...], PstNode], m: int) -> tuple:
+    """The start state of the automaton that scores with a suffix-closed tree
+    of nodes over m symbols (Aho & Corasick, Efficient string matching,
+    1975; the PST to PSA equivalence of Ron, Singer & Tishby, 1996).
+
+    A state is a prefix of a stored context, oldest symbol first, held as
+    (log2_row, edges, fail): the log2_row of its longest stored suffix, the
+    same list the node holds; its trie edges, {sym: the state one symbol
+    longer}; and its fail state, its longest proper suffix that is a state.
+    The start state is the empty prefix, with the root's row; its edges
+    cover all m symbols, a missing one leading back to itself, so every
+    fail chain ends there. After a history, the state reached is the
+    history's longest suffix that is a state, whose row is that of
+    lookup_context's node. States and edges take O(states + m) memory.
+    """
+    prefixes: set[tuple[int, ...]] = set()
+    for ctx in nodes:
+        # A prefix's own prefixes are states too: stop at the first seen.
+        while ctx and ctx not in prefixes:
+            prefixes.add(ctx)
+            ctx = ctx[:-1]
+    root_edges: dict[int, tuple] = {}
+    root = (nodes[()].log2_row, root_edges, None)
+    root_edges.update(dict.fromkeys(range(m), root))
+    states = {(): root}
+    # By length, so every shorter state and its edges exist before a fail
+    # state is looked up through them.
+    for prefix in sorted(prefixes, key=len):
+        parent = states[prefix[:-1]]
+        sym = prefix[-1]
+        fail = root
+        if len(prefix) > 1:
+            fail = parent[2]
+            while sym not in fail[1]:
+                fail = fail[2]
+            fail = fail[1][sym]
+        node = nodes.get(prefix)
+        state = (fail[0] if node is None else node.log2_row, {}, fail)
+        parent[1][sym] = states[prefix] = state
+    return root
 
 
 def _conditional(row: dict[int, int]) -> dict[int, float]:
@@ -399,10 +447,10 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
 def lookup_context(pst: Pst, history: Seq[int]) -> PstNode:
     """Node of the longest stored suffix of history; root when none match.
 
-    This is the one walk that scoring takes. make_tree refuses any context
-    longer than params.depth, so the tree itself ends the walk within depth
-    symbols; score_sequence passes only the last depth ids so that each
-    step copies no more than that.
+    This walk back through PstNode.children defines the context of a
+    position. score_sequence does not take it: its automaton reaches the
+    same node's row in one edge step per symbol, and the tests hold the
+    automaton to this definition.
     """
     node = pst.nodes[0]
     for sym in reversed(history):
@@ -440,33 +488,34 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
     """Likelihood of a token sequence under the tree.
 
     Each position is predicted from the longest stored suffix of the
-    preceding tokens, found by lookup_context. No stored context is
-    longer than params.depth, so the walk looks back at most that many
-    symbols and scoring is linear in the sequence length. An
-    out-of-vocabulary token, or any zero smoothed probability, makes the
-    whole sequence zero-likelihood. Accumulation happens in log2 space;
+    preceding tokens, the node lookup_context finds. The tree's automaton
+    tracks it: each symbol takes one edge step, after any fail steps,
+    each of which undoes one earlier edge step, so scoring takes
+    amortized constant time per token. An out-of-vocabulary token, or
+    any zero smoothed probability, makes the whole sequence
+    zero-likelihood. The log2 probabilities are added in position order;
     the reported likelihood is clamped to the smallest positive float
     when exponentiation underflows.
     """
-    texts = list(tokens)
-    n = len(texts)
+    ids = list(map(pst.vocab.id_of, tokens))
+    n = len(ids)
     if n == 0:
         return Score(1.0, 0.0)
+    if None in ids:
+        return _ZERO_SCORE
 
-    ids: list[int] = []
-    for t in texts:
-        i = pst.vocab.id_of(t)
-        if i is None:
-            return _ZERO_SCORE
-        ids.append(i)
-
-    depth = pst.params.depth
+    row, edges, fail = pst.automaton
     log2_lik = 0.0
-    for i, sym in enumerate(ids):
-        lp = lookup_context(pst, ids[i - depth if i > depth else 0:i]).log2_row[sym]
-        if lp == -math.inf:
-            return _ZERO_SCORE
-        log2_lik += lp
+    for sym in ids:
+        log2_lik += row[sym]
+        state = edges.get(sym)
+        while state is None:
+            _, edges, fail = fail
+            state = edges.get(sym)
+        row, edges, fail = state
+    # A -inf term makes the sum -inf: no other term is +inf or NaN.
+    if log2_lik == -math.inf:
+        return _ZERO_SCORE
 
     likelihood = 2.0 ** log2_lik
     if likelihood == 0.0:

@@ -4,7 +4,9 @@ output bytes.
 Runs the documented commands with --no-timestamp and checks the summary
 lines the README shows and the sha256 of every file they write. One more
 `train --p-min 0 --depth 5` pins the exhaustive count: with p_min 0
-every context is frequent, so counting keeps every substring. `eval`
+every context is frequent, so counting keeps every substring. Scoring
+the corpus with that model pins the scorer on a second tree shape, with
+more and shallower contexts. `eval`
 runs under both rankings, logloss and likelihood. `prepare`
 runs on the labeled CSV and the Zeek log the CLI tests use, and on the
 CSV under day and gap sessions too. Python
@@ -50,6 +52,9 @@ def test_readme_quickstart_and_words(tmp_path, capsys):
     assert out[0] == "scored 2000 sequences: 94 flagged below 1e-30, 0 zero-likelihood"
     assert out[1] == "flag 00001582"
     assert len(out) == 1 + 94
+    out = run("score", "--model", tmp_path / "model-p0-d5.json", "--in", corpus,
+              "--out", tmp_path / "scores-p0-d5.csv", "--limit", "1e-30")
+    assert out[0] == "scored 2000 sequences: 81 flagged below 1e-30, 0 zero-likelihood"
     for rank_args, out_dir in (((), report),
                                (("--rank", "likelihood"), tmp_path / "report-likelihood")):
         out = run("eval", "--scores", scores, "--sequences", corpus, *rank_args,

@@ -446,6 +446,14 @@ class TestSequenceFile:
         with pytest.raises(FormatError, match="line 3"):
             read_sequences(io.StringIO(text))
 
+    @pytest.mark.parametrize("ids, bad", [
+        ("0 -1 1", "-1"), ("1 2 0", "2"), ("-3 2", "-3"),
+    ], ids=["negative", "vocab-size", "both"])
+    def test_token_id_out_of_range_is_format_error(self, ids, bad):
+        text = f"#vocab 2\n0\ta\n1\tb\nnormal\ta\tb\t0.0\t0 1\nnormal\ta\tb\t0.0\t{ids}\n"
+        with pytest.raises(FormatError, match=f"^line 5: token id out of range: {bad}$"):
+            read_sequences(io.StringIO(text))
+
     def test_data_before_vocab_directive(self):
         with pytest.raises(FormatError, match="line 1"):
             read_sequences(["normal\ta\tb\t0.0\t0\n"])

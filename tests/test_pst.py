@@ -588,7 +588,7 @@ class TestScore:
 
     def test_bit_identical_to_full_history_lookup(self):
         # Reference: the whole-history lookup at every position, summed in
-        # the same order; the bounded walk must reproduce it exactly.
+        # the same order; the automaton must reproduce it exactly.
         background, anomaly = demo_spec_pair(4)
         corpus = generate_corpus(background, anomaly, GenConfig(
             n_sequences=300, length_min=30, length_max=70,
@@ -628,6 +628,115 @@ class TestScore:
         if params.epsilon > 0.0:
             # every training sequence survives under smoothing
             assert not score.zero_likelihood
+
+
+@st.composite
+def made_trees(draw):
+    """A tree made directly by make_tree from a random suffix-closed table.
+
+    Closing random contexts under suffixes leaves most of their
+    oldest-first prefixes unstored, the case the automaton's fail states
+    serve. Rows give some symbols probability 0, which epsilon 0 keeps.
+    """
+    m = draw(st.integers(1, 4))
+    depth = draw(st.integers(0, 4))
+    drawn = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=depth),
+                          max_size=10)) if depth else []
+    closed = {tuple(ctx[k:]) for ctx in drawn for k in range(len(ctx) + 1)} | {()}
+    dists = {}
+    for ctx in sorted(closed):
+        weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+        dists[ctx] = {sym: w / sum(weights) for sym, w in enumerate(weights) if w}
+    epsilon = draw(st.sampled_from([0.0, 1.0 / m / 4]))
+    return make_tree(dists, PstParams(depth=depth, epsilon=epsilon), helpers.small_vocab(m))
+
+
+@st.composite
+def trained_trees(draw):
+    m, seqs = draw(corpus_strategy)
+    params = draw(params_strategy)
+    if params.epsilon >= 1.0 / m:
+        params = PstParams(depth=params.depth, p_min=params.p_min,
+                           threshold=params.threshold, tau=params.tau,
+                           epsilon=1.0 / m / 2)
+    return train(seqs, params, m)
+
+
+def histories(pst, oov=False):
+    """Histories built from the tree's own contexts and single symbols, so
+    they reach deep states; with oov, the out-of-vocabulary id len(vocab)
+    may occur too."""
+    m = len(pst.vocab)
+    pieces = st.sampled_from([node.context for node in pst.iter_nodes()]) \
+        | st.integers(0, m if oov else m - 1).map(lambda sym: (sym,))
+    return st.lists(pieces, max_size=12).map(lambda parts: [s for p in parts for s in p])
+
+
+def automaton_states(pst, ids):
+    """The automaton's state before each symbol of ids and after the last."""
+    state = pst.automaton
+    yield state
+    for sym in ids:
+        nxt = state[1].get(sym)
+        while nxt is None:
+            state = state[2]
+            nxt = state[1].get(sym)
+        state = nxt
+        yield state
+
+
+def lookup_score(pst, ids):
+    """score_sequence's result from lookup_context at every position, the
+    log2 terms added in position order."""
+    if not ids:
+        return Score(1.0, 0.0)
+    log2_lik = 0.0
+    for i, sym in enumerate(ids):
+        if sym >= len(pst.vocab):
+            return Score(0.0, math.inf)
+        lp = lookup_context(pst, ids[:i]).log2_row[sym]
+        if lp == -math.inf:
+            return Score(0.0, math.inf)
+        log2_lik += lp
+    return Score(max(2.0 ** log2_lik, 5e-324), -log2_lik / len(ids) + 0.0)
+
+
+trees = made_trees() | trained_trees()
+
+
+class TestAutomaton:
+    @settings(max_examples=200, deadline=None)
+    @given(pst=trees, data=st.data())
+    def test_state_row_is_lookup_row(self, pst, data):
+        # Every state is a prefix of a stored context, so the contexts
+        # themselves visit them all; a drawn history takes fail steps too.
+        for ids in [data.draw(histories(pst))] + [node.context for node in pst.nodes]:
+            for i, state in enumerate(automaton_states(pst, ids)):
+                assert state[0] is lookup_context(pst, ids[:i]).log2_row
+
+    @settings(max_examples=200, deadline=None)
+    @given(pst=trees, data=st.data())
+    def test_score_bit_equal_to_lookup_reference(self, pst, data):
+        ids = data.draw(histories(pst, oov=True))
+        assert score_sequence(pst, texts(ids)) == lookup_score(pst, ids)
+        assert score_sequence(pst, []) == Score(1.0, 0.0)
+        cut = data.draw(st.integers(0, len(ids)))
+        oov = ids[:cut] + [len(pst.vocab)] + ids[cut:]
+        assert score_sequence(pst, texts(oov)) == Score(0.0, math.inf)
+
+    def test_hand_tree_fail_states(self):
+        # (B, A, A) is stored; its prefixes (B,) and (B, A) are states that
+        # are not stored, so they carry the rows of their longest stored
+        # suffixes, () and (A,). From (B, A, A), B has no edge along the
+        # fail chain (A, A), (A,) until the start state; A leads to (A, A).
+        table = {(): {A: 0.5, B: 0.5}, (A,): {A: 1.0}, (A, A): {B: 1.0},
+                 (B, A, A): {A: 1.0}}
+        pst = make_tree(table, PstParams(depth=3), helpers.small_vocab(2))
+        rows = [state[0] for state in automaton_states(pst, [B, A, A, B, A, A, A])]
+        by_ctx = {node.context: node.log2_row for node in pst.iter_nodes()}
+        expected = [by_ctx[ctx] for ctx in
+                    [(), (), (A,), (B, A, A), (), (A,), (B, A, A), (A, A)]]
+        assert list(map(id, rows)) == list(map(id, expected))
 
 
 class TestFlagAnomalies:
@@ -674,23 +783,15 @@ class TestModelIO:
         assert issubclass(CorruptModelError, FormatError)
         assert issubclass(ModelVersionError, FormatError)
 
-    @settings(max_examples=60, deadline=None)
-    @given(corpus_strategy, params_strategy,
-           st.lists(st.integers(0, 3), min_size=0, max_size=12))
-    def test_round_trip_scores_bit_equal(self, corpus, params, probe):
-        m, seqs = corpus
-        if params.epsilon >= 1.0 / m:
-            params = PstParams(depth=params.depth, p_min=params.p_min,
-                               threshold=params.threshold, tau=params.tau,
-                               epsilon=1.0 / m / 2)
-        pst = train(seqs, params, m)
+    @settings(max_examples=100, deadline=None)
+    @given(pst=trees, data=st.data())
+    def test_round_trip_scores_bit_equal(self, pst, data):
         loaded, _ = self.roundtrip(pst)
         assert {n.context for n in loaded.iter_nodes()} == \
             {n.context for n in pst.iter_nodes()}
-        probe = [sym % m for sym in probe]
-        before = score_sequence(pst, texts(probe))
-        after = score_sequence(loaded, texts(probe))
-        assert before == after
+        for _ in range(3):
+            probe = texts(data.draw(histories(pst, oov=True)))
+            assert score_sequence(loaded, probe) == score_sequence(pst, probe)
 
     def test_round_trip_preserves_metadata(self):
         pst = train([[A, B, A]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
