@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from itertools import compress, repeat
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Sequence as Seq, TextIO
 
 from .errors import CorruptModelError, ModelVersionError
@@ -118,14 +117,19 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
 
     Occurrence counts are anti-monotone: a context occurs no more often
     than its prefix, so only the extensions of a frequent context can be
-    frequent (Ron, Singer & Tishby, The Power of Amnesia, 1996). Level k
-    counts the extensions of the frequent contexts of level k - 1, at the
-    positions where those occur, and only the positions whose extension
-    is frequent go on to level k + 1.
+    frequent (Ron, Singer & Tishby, The Power of Amnesia, 1996). Every
+    context counted starts some position's window of max_len + 1
+    symbols, and positions with equal windows take the same path through
+    every level, so each distinct window is counted once, weighted by
+    the number of positions it starts at. Level k counts the extensions
+    of the frequent contexts of level k - 1 by summing the weights of
+    the windows that begin with them, and only the windows whose
+    extension is frequent go on to level k + 1. Memory grows with the
+    distinct windows, not with the corpus.
 
     Args:
-        id_sequences: iterable of token-id sequences, ids >= 0; a sentinel
-            follows each sequence, so no context spans a boundary.
+        id_sequences: iterable of token-id sequences, ids >= 0, read
+            once; no context spans the end of a sequence.
         max_len: longest context length to extend; one more symbol is
             counted so every frequent context's successor counts are in
             the table (0 counts only unigrams).
@@ -143,44 +147,53 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
     starts = counts.starts
     occurrences = counts.occurrences
 
-    # The corpus as one flat list, each sequence followed by a sentinel
-    # slot that is set to m, one past the largest id, once m is known.
-    flat: list[int] = []
-    ends: list[int] = []
+    # The window of max_len + 1 symbols at every position, padded past
+    # its sequence's end with -1, which is below every id (zip stops at
+    # the shortest slice, so one window per position); each distinct
+    # window is kept once, with the number of positions it starts at.
+    windows: Counter = Counter()
+    pad = (-1,) * max_len
+    width = max_len + 1
+    highest = -1
     for raw in id_sequences:
-        begin = len(flat)
-        flat.extend(raw)
-        if len(flat) > begin:
-            starts[flat[begin]] = starts.get(flat[begin], 0) + 1
-        ends.append(len(flat))
-        flat.append(0)
-    lowest = min(flat, default=0)
-    if lowest < 0:
-        raise ValueError(f"token ids must be >= 0, got {lowest}")
-    counts.n_sequences = len(ends)
-    counts.total_positions = total = len(flat) - len(ends)
-    m = max(flat, default=0) + 1
-    for end in ends:
-        flat[end] = m
+        ids = tuple(raw)
+        counts.n_sequences += 1
+        if not ids:
+            continue
+        lowest = min(ids)
+        if lowest < 0:
+            raise ValueError(f"token ids must be >= 0, got {lowest}")
+        highest = max(highest, max(ids))
+        starts[ids[0]] = starts.get(ids[0], 0) + 1
+        counts.total_positions += len(ids)
+        padded = ids + pad
+        windows.update(zip(*(padded[k:] for k in range(width))))
+    m = highest + 1
 
-    # A live position j starts a frequent context of length - 1 symbols
-    # and carries its dense rank (from 1, so a kept rank is never falsy)
-    # times stride; adding the symbol after the context packs the
-    # extension into one integer key, with no tuple per position. Level 1
-    # extends the empty context, rank 1, at every position.
+    # A live window starts a frequent context of length - 1 symbols and
+    # carries its dense rank (from 1, so a kept rank is never falsy)
+    # times stride; adding the window's next symbol packs the extension
+    # into one integer key, with no tuple per window. The pad -1 packs
+    # as rank * stride - 1 = (rank - 1) * stride + m, so it reads back as
+    # the symbol m, one past the largest id, which ends a sequence and
+    # so extends no context. Level 1 extends the empty context, rank 1,
+    # in every window.
     stride = m + 1
-    min_count = _min_count(p_min, total)
+    min_count = _min_count(p_min, counts.total_positions)
     contexts: list = [None, ()]
-    ranks: Iterable[int] = repeat(stride, len(flat))
-    positions: Iterable[int] = range(len(flat))
+    ws = list(windows)
+    weights = list(windows.values())
+    del windows
+    ranks: Iterable[int] = repeat(stride, len(ws))
     for length in range(1, max_len + 2):
-        shifted = flat[length - 1:]
-        keys = list(map(add, ranks, map(shifted.__getitem__, positions)))
-        del shifted
+        keys = list(map(add, ranks, map(itemgetter(length - 1), ws)))
+        level: dict[int, int] = {}
+        for key, weight in zip(keys, weights):
+            level[key] = level.get(key, 0) + weight
         grow = length <= max_len
         frequent: dict[int, int] = {}
         extended: list = [None]
-        for key, occ in Counter(keys).items():
+        for key, occ in level.items():
             rank, sym = divmod(key, stride)
             if sym == m:
                 continue
@@ -192,9 +205,10 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
         if not frequent:
             break
         selected = list(map(frequent.get, keys))
-        del keys
+        del keys, level
         ranks = list(filter(None, selected))
-        positions = array("q", compress(positions, selected))
+        ws = list(compress(ws, selected))
+        weights = list(compress(weights, selected))
         del selected
         contexts = extended
     return counts

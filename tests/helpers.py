@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from flowlang.flows import Label
 from flowlang.language import Vocabulary, _sort_key
-from flowlang.pst import Pst, PstParams
+from flowlang.pst import ContextCounts, Pst, PstParams
 from flowlang.synth import MarkovSpec
 
 
@@ -119,6 +119,20 @@ def brute_context_stats(sequences, max_len):
                     row = follows.setdefault(ctx, {})
                     row[seq[nxt]] = row.get(seq[nxt], 0) + 1
     return total, n_seq, unigrams, occurrences, follows, starts
+
+
+def brute_gated_counts(sequences, max_len, p_min):
+    """The ContextCounts count_contexts should return: every unigram, and
+    every one-symbol extension of a context of at most max_len symbols
+    that occurs in at least a p_min fraction of all positions."""
+    total, n_seq, _, occurrences, _, starts = brute_context_stats(sequences, max_len + 1)
+    frequent = {ctx for ctx, occ in occurrences.items()
+                if len(ctx) <= max_len and Fraction(occ, total) >= Fraction(p_min)}
+    return ContextCounts(
+        max_len=max_len, total_positions=total, n_sequences=n_seq, starts=starts,
+        occurrences={ctx: occ for ctx, occ in occurrences.items()
+                     if len(ctx) == 1 or ctx[:-1] in frequent},
+        p_min=p_min)
 
 
 def brute_conditional(follows, ctx):

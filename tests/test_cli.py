@@ -6,6 +6,7 @@ subprocess test confirms the module entry point is wired up.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import io
 import json
@@ -910,3 +911,69 @@ class TestExitCodes:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == b""
+
+
+# Strings a damaged or hostile input file may hold.
+HOSTILE = ["nan", "-1", "1" * 30, "#", '"', "\t", "\x00", "\r"]
+
+
+@st.composite
+def edited(draw, text):
+    """text after one edit: a hostile string inserted, a span deleted, a
+    line duplicated, or the tail cut off."""
+    kind = draw(st.sampled_from(["insert", "delete", "duplicate", "truncate"]))
+    at = draw(st.integers(0, len(text)))
+    if kind == "insert":
+        return text[:at] + draw(st.sampled_from(HOSTILE)) + text[at:]
+    if kind == "delete":
+        return text[:at] + text[draw(st.integers(at, min(len(text), at + 40))):]
+    if kind == "duplicate":
+        lines = text.splitlines(keepends=True)
+        if not lines:
+            return text
+        k = draw(st.integers(0, len(lines) - 1))
+        return "".join(lines[:k + 1] + lines[k:])
+    return text[:at]
+
+
+def run_quietly(*argv):
+    """main(argv) with stdout and stderr captured: (code, stderr). For
+    hypothesis tests, which cannot take the function-scoped capsys."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+class TestTrainInputEdits:
+    """Whatever a sequences file holds, train exits with a documented code,
+    and a model it writes scores that file."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("edits")
+        assert main(["synth", "--out", str(root / "corpus.txt"), "--n", "12",
+                     "--length-min", "3", "--length-max", "9",
+                     "--seed", "5", "--no-timestamp"]) == 0
+        return root
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, work, data):
+        text = (work / "corpus.txt").read_text(encoding="utf-8")
+        for _ in range(data.draw(st.integers(1, 3))):
+            text = data.draw(edited(text))
+        corpus, model = work / "edited.txt", work / "model.json"
+        corpus.write_bytes(text.encode("utf-8"))
+        code, stderr = run_quietly("train", "--in", str(corpus), "--out", str(model),
+                                   "--no-timestamp")
+        # The parameters are valid, so a bad input is a format error (3)
+        # or a data error (4), never a usage error (2).
+        assert code in (0, 3, 4)
+        if code:
+            assert stderr.strip()
+        else:
+            code, stderr = run_quietly("score", "--model", str(model),
+                                       "--in", str(corpus),
+                                       "--out", str(work / "scores.csv"))
+            assert (code, stderr) == (0, "")

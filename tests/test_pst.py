@@ -79,6 +79,28 @@ class TestParams:
         assert [type(v) for v in asdict(p).values()] == [int, float, float, float, float]
 
 
+@st.composite
+def repetitive_corpora(draw):
+    """(sequences, max_len) whose windows of max_len + 1 symbols repeat:
+    duplicated sequences, periodic ones longer than a window, ones shorter
+    than a window, over ids with gaps (so the largest id + 1 is not the
+    number of ids)."""
+    max_len = draw(st.integers(0, 5))
+    sym = st.sampled_from(draw(st.sampled_from([[0], [0, 9], [3, 7, 8], [0, 1, 2, 3]])))
+    seqs = []
+    for kind in draw(st.lists(st.sampled_from(["periodic", "short", "any"]), max_size=6)):
+        if kind == "periodic":
+            period = draw(st.lists(sym, min_size=1, max_size=3))
+            n = draw(st.integers(max_len + 2, max_len + 12))
+            seq = (period * n)[:n]
+        elif kind == "short":
+            seq = draw(st.lists(sym, max_size=max_len))
+        else:
+            seq = draw(st.lists(sym, max_size=12))
+        seqs += [seq] * draw(st.integers(1, 3))
+    return draw(st.permutations(seqs)), max_len
+
+
 class TestCountContexts:
     def test_hand_table(self):
         counts = count_contexts([[A, A, B]], max_len=1)
@@ -142,28 +164,24 @@ class TestCountContexts:
             (A, A, A): 3, (A, A, B): 1,
         }
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(
-        st.lists(st.lists(st.integers(0, 3), min_size=0, max_size=14),
-                 min_size=0, max_size=8),
-        st.integers(0, 5),
-        st.sampled_from([0.0, 0.0001, 0.05, 0.1, 0.2, 0.5, 1.0]),
+        st.tuples(st.lists(st.lists(st.integers(0, 3), min_size=0, max_size=14),
+                           min_size=0, max_size=8),
+                  st.integers(0, 5))
+        | repetitive_corpora(),
+        st.sampled_from([0.0001, 0.05, 0.1, 0.2, 0.5, 1.0]),
     )
-    def test_gated_table_matches_oracle(self, seqs, max_len, p_min):
-        counts = count_contexts(seqs, max_len, p_min)
-        total, n_seq, _, occurrences, _, starts = \
-            helpers.brute_context_stats(seqs, max_len + 1)
-        assert (counts.total_positions, counts.n_sequences, counts.starts) == \
-            (total, n_seq, starts)
-        for ctx, occ in counts.occurrences.items():
-            assert occurrences[ctx] == occ
-        frequent = {ctx for ctx, occ in occurrences.items()
-                    if len(ctx) <= max_len and Fraction(occ, total) >= Fraction(p_min)}
+    def test_gated_table_matches_oracle(self, corpus, p_min):
         # Every unigram, and every one-symbol extension of a frequent
-        # context; nothing else.
-        expected = {ctx for ctx in occurrences
-                    if len(ctx) == 1 or ctx[:-1] in frequent}
-        assert set(counts.occurrences) == expected
+        # context; nothing else. Equal windows are counted once with their
+        # multiplicity, so half the corpora repeat windows on purpose.
+        seqs, max_len = corpus
+        for gate in (0.0, p_min):
+            expected = helpers.brute_gated_counts(seqs, max_len, gate)
+            assert count_contexts(seqs, max_len, gate) == expected
+            one_shot = (tuple(seq) for seq in seqs)
+            assert count_contexts(one_shot, max_len, gate) == expected
 
     def test_gated_quickstart_table_is_small(self):
         corpus = generate_corpus(*demo_spec_pair(8), GenConfig(2000, 30, 70, 0.05, 7))
