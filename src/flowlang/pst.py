@@ -15,8 +15,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import compress, repeat
-from operator import add, itemgetter
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence as Seq, TextIO
 
 from .errors import CorruptModelError, ModelVersionError
@@ -92,7 +92,8 @@ class ContextCounts:
     occurrences[(sym,)] - starts[sym] times. The empty context itself
     occurs total_positions times. With p_min 0 every context is frequent,
     so the table holds every substring of 1 to max_len + 1 symbols and
-    tables of disjoint corpora merge by summing (merge_counts).
+    tables of disjoint corpora merge by summing (merge_counts). The
+    order of occurrences means nothing: build_tree reads it by key.
     """
 
     max_len: int
@@ -113,19 +114,20 @@ def _min_count(p_min: float, total: int) -> int:
 
 def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
                    p_min: float = 0.0) -> ContextCounts:
-    """Count, level by level, the contexts a tree with this p_min can use.
+    """Count the contexts a tree with this p_min can use, as runs of the
+    sorted windows.
 
-    Occurrence counts are anti-monotone: a context occurs no more often
-    than its prefix, so only the extensions of a frequent context can be
-    frequent (Ron, Singer & Tishby, The Power of Amnesia, 1996). Every
-    context counted starts some position's window of max_len + 1
-    symbols, and positions with equal windows take the same path through
-    every level, so each distinct window is counted once, weighted by
-    the number of positions it starts at. Level k counts the extensions
-    of the frequent contexts of level k - 1 by summing the weights of
-    the windows that begin with them, and only the windows whose
-    extension is frequent go on to level k + 1. Memory grows with the
-    distinct windows, not with the corpus.
+    Every context counted starts some position's window of up to
+    max_len + 1 symbols, padded past its sequence's end. Each distinct
+    window is kept once, weighted by the number of positions it starts
+    at, and the windows are sorted, so the windows that begin with a
+    context form one contiguous run and the context's count is the sum
+    of that run's weights (Manber & Myers, Suffix arrays, 1993). A run
+    splits into its one-symbol extensions by the next symbol. Occurrence
+    counts are anti-monotone: a context occurs no more often than its
+    prefix, so only the runs of frequent contexts are split further
+    (Ron, Singer & Tishby, The Power of Amnesia, 1996). Memory grows
+    with the distinct windows, not with the corpus.
 
     Args:
         id_sequences: iterable of token-id sequences, ids >= 0, read
@@ -147,14 +149,12 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
     starts = counts.starts
     occurrences = counts.occurrences
 
-    # The window of max_len + 1 symbols at every position, padded past
-    # its sequence's end with -1, which is below every id (zip stops at
-    # the shortest slice, so one window per position); each distinct
-    # window is kept once, with the number of positions it starts at.
+    # The window at every position, padded past its sequence's end with
+    # -1, which is below every id and ends every context (zip stops at
+    # the shortest slice, so one window per position). A window is no
+    # wider than its sequence plus one pad, so a depth beyond the longest
+    # sequence builds nothing more.
     windows: Counter = Counter()
-    pad = (-1,) * max_len
-    width = max_len + 1
-    highest = -1
     for raw in id_sequences:
         ids = tuple(raw)
         counts.n_sequences += 1
@@ -163,54 +163,30 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
         lowest = min(ids)
         if lowest < 0:
             raise ValueError(f"token ids must be >= 0, got {lowest}")
-        highest = max(highest, max(ids))
         starts[ids[0]] = starts.get(ids[0], 0) + 1
         counts.total_positions += len(ids)
-        padded = ids + pad
+        width = min(max_len, len(ids)) + 1
+        padded = ids + (-1,) * (width - 1)
         windows.update(zip(*(padded[k:] for k in range(width))))
-    m = highest + 1
 
-    # A live window starts a frequent context of length - 1 symbols and
-    # carries its dense rank (from 1, so a kept rank is never falsy)
-    # times stride; adding the window's next symbol packs the extension
-    # into one integer key, with no tuple per window. The pad -1 packs
-    # as rank * stride - 1 = (rank - 1) * stride + m, so it reads back as
-    # the symbol m, one past the largest id, which ends a sequence and
-    # so extends no context. Level 1 extends the empty context, rank 1,
-    # in every window.
-    stride = m + 1
+    # ws[lo:hi] are the windows that begin with ctx; grouping them by
+    # their next symbol splits the run into ctx's extensions, the pad's
+    # run first.
     min_count = _min_count(p_min, counts.total_positions)
-    contexts: list = [None, ()]
-    ws = list(windows)
-    weights = list(windows.values())
+    ws = sorted(windows)
+    weights = list(map(windows.__getitem__, ws))
     del windows
-    ranks: Iterable[int] = repeat(stride, len(ws))
-    for length in range(1, max_len + 2):
-        keys = list(map(add, ranks, map(itemgetter(length - 1), ws)))
-        level: dict[int, int] = {}
-        for key, weight in zip(keys, weights):
-            level[key] = level.get(key, 0) + weight
-        grow = length <= max_len
-        frequent: dict[int, int] = {}
-        extended: list = [None]
-        for key, occ in level.items():
-            rank, sym = divmod(key, stride)
-            if sym == m:
-                continue
-            ctx = contexts[rank] + (sym,)
-            occurrences[ctx] = occ
-            if grow and occ >= min_count:
-                frequent[key] = len(extended) * stride
-                extended.append(ctx)
-        if not frequent:
-            break
-        selected = list(map(frequent.get, keys))
-        del keys, level
-        ranks = list(filter(None, selected))
-        ws = list(compress(ws, selected))
-        weights = list(compress(weights, selected))
-        del selected
-        contexts = extended
+    runs = [((), 0, len(ws))]
+    while runs:
+        ctx, lo, hi = runs.pop()
+        for sym, run in groupby(ws[lo:hi], key=itemgetter(len(ctx))):
+            end = lo + len(list(run))
+            if sym >= 0:
+                ext = ctx + (sym,)
+                occ = occurrences[ext] = sum(weights[lo:end])
+                if len(ctx) < max_len and occ >= min_count:
+                    runs.append((ext, lo, end))
+            lo = end
     return counts
 
 

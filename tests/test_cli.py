@@ -945,6 +945,35 @@ def run_quietly(*argv):
     return code, err.getvalue()
 
 
+class TestPrepareInputEdits:
+    """Whatever a flow log holds, prepare exits with a documented code,
+    and train accepts the sequences file it writes."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("prepare-edits")
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.sampled_from([CSV_TEXT, ZEEK_TEXT]), data=st.data())
+    def test_exit_code_is_documented(self, work, text, data):
+        for _ in range(data.draw(st.integers(1, 3))):
+            text = data.draw(edited(text))
+        flows, seqs = work / "flows.in", work / "seqs.txt"
+        flows.write_bytes(text.encode("utf-8"))
+        code, stderr = run_quietly("prepare", "--in", str(flows), "--out", str(seqs),
+                                   "--no-timestamp")
+        # The parameters are valid, so a bad input is a format error (3),
+        # never a usage error (2).
+        assert code in (0, 3)
+        if code:
+            assert stderr.strip()
+        else:
+            code, stderr = run_quietly("train", "--in", str(seqs),
+                                       "--out", str(work / "model.json"),
+                                       "--no-timestamp")
+            assert (code, stderr) == (0, "")
+
+
 class TestTrainInputEdits:
     """Whatever a sequences file holds, train exits with a documented code,
     and a model it writes scores that file."""

@@ -4,7 +4,9 @@ import copy
 import io
 import json
 import math
-from dataclasses import asdict
+import random
+import tracemalloc
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -168,7 +170,7 @@ class TestCountContexts:
     @given(
         st.tuples(st.lists(st.lists(st.integers(0, 3), min_size=0, max_size=14),
                            min_size=0, max_size=8),
-                  st.integers(0, 5))
+                  st.integers(0, 20))
         | repetitive_corpora(),
         st.sampled_from([0.0001, 0.05, 0.1, 0.2, 0.5, 1.0]),
     )
@@ -182,6 +184,21 @@ class TestCountContexts:
             assert count_contexts(seqs, max_len, gate) == expected
             one_shot = (tuple(seq) for seq in seqs)
             assert count_contexts(one_shot, max_len, gate) == expected
+
+    def test_depth_beyond_longest_sequence_costs_nothing(self):
+        # No context reaches past a sequence's end, so depth 2000 counts
+        # the depth-3 table of 3-token sequences, without building
+        # 2001-symbol windows for them.
+        seqs = [[A, B, A], [B, B, A], [A, A, A]]
+        tracemalloc.start()
+        try:
+            deep = count_contexts(seqs, max_len=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        shallow = count_contexts(seqs, max_len=3)
+        assert replace(deep, max_len=3) == shallow
+        assert peak < 1_000_000
 
     def test_gated_quickstart_table_is_small(self):
         corpus = generate_corpus(*demo_spec_pair(8), GenConfig(2000, 30, 70, 0.05, 7))
@@ -321,13 +338,32 @@ class TestBuildTree:
         assert pst.node_count == 1
 
     def test_threshold_monotonicity_for_example_pair(self):
-        import random
         rng = random.Random(11)
         seqs = [[rng.randrange(4) for _ in range(30)] for _ in range(40)]
         base = dict(depth=3, p_min=0.0001, tau=1.2)
         low = train(seqs, PstParams(threshold=0.0005, **base), 4)
         high = train(seqs, PstParams(threshold=0.05, **base), 4)
         assert high.node_count <= low.node_count
+
+    @pytest.mark.parametrize("params", [
+        PstParams(depth=5), PstParams(depth=5, p_min=0.0),
+        PstParams(depth=3, p_min=0.0, threshold=0.0, tau=1.2, epsilon=0.01)])
+    @pytest.mark.parametrize("seed, m", [(1, 4), (2, 6), (3, 8)])
+    def test_table_order_does_not_change_the_model(self, params, seed, m):
+        # count_contexts promises the entries, not their order.
+        rng = random.Random(seed)
+        corpus = generate_corpus(*demo_spec_pair(m), GenConfig(60, 5, 40, 0.1, seed))
+        seqs = [s.token_ids for s in corpus_to_sequences(corpus, m)[0]]
+        counts = count_contexts(seqs, params.depth, params.p_min)
+        entries = list(counts.occurrences.items())
+        shuffled = rng.sample(entries, len(entries))
+        written = set()
+        for order in (entries, entries[::-1], shuffled):
+            table = replace(counts, occurrences=dict(order))
+            sink = io.StringIO()
+            save_model(build_tree(table, params, helpers.small_vocab(m)), sink)
+            written.add(sink.getvalue())
+        assert len(written) == 1
 
     def test_empty_corpus_with_vocab_scores_uniformly(self):
         pst = train([], PstParams(depth=2), vocab_size=4)
