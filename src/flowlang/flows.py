@@ -11,6 +11,7 @@ import enum
 import ipaddress
 import logging
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -26,6 +27,11 @@ CSV_HEADER = [
 # Zeek's missing-value markers.
 _MISSING = {"-", "(empty)", ""}
 
+# Exactly the dotted quads ipaddress.IPv4Address accepts: ASCII digits, no
+# leading zero, each octet at most 255. Such text is already canonical.
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4 = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
+
 
 class Label(enum.Enum):
     NORMAL = "normal"
@@ -35,12 +41,10 @@ class Label(enum.Enum):
     @classmethod
     def parse(cls, text: str) -> "Label":
         """Map label text to a Label; anything unrecognized is UNLABELED."""
-        lowered = text.strip().lower()
-        if lowered == "normal":
-            return cls.NORMAL
-        if lowered == "attack":
-            return cls.ATTACK
-        return cls.UNLABELED
+        return _LABELS.get(text.strip().lower(), cls.UNLABELED)
+
+
+_LABELS = {label.value: label for label in Label}
 
 
 def normalize_protocol(text: str) -> str:
@@ -85,13 +89,15 @@ class FlowRecord:
             raise ValueError(f"bad duration: {self.duration!r}")
         for name in ("src_ip", "dst_ip"):
             text = getattr(self, name)
+            if type(text) is str and _IPV4.fullmatch(text):
+                continue
             try:
                 addr = ipaddress.ip_address(text)
             except ValueError as exc:
                 raise ValueError(f"invalid {name}: {text!r}") from exc
             # One IPv6 host has many spellings; keep the canonical one so
-            # it forms one endpoint (valid IPv4 text already is). Only an
-            # IPv6 zone id can hold whitespace, which would split a row.
+            # it forms one endpoint (valid IPv4 text matched _IPV4). Only
+            # an IPv6 zone id can hold whitespace, which would split a row.
             if addr.version == 6:
                 canonical = str(addr)
                 if any(map(str.isspace, canonical)):
@@ -117,31 +123,24 @@ class IngestStats:
         return self.rows_read - self.rows_rejected
 
 
-def _parse_float(text: str) -> float:
-    if text in _MISSING:
-        return 0.0
-    return float(text)
-
-
 def _parse_count(text: str) -> int:
     if text in _MISSING:
         return 0
     return int(text)
 
 
-# The converter for each CSV_HEADER cell; FlowRecord takes its fields in
-# the same order.
-_CONVERTERS = (_parse_float, str, _parse_count, str, _parse_count, normalize_protocol,
-               _parse_count, _parse_count, _parse_count, _parse_count, _parse_float,
-               Label.parse)
-
-
-def _record(cells: list[str]) -> FlowRecord:
+def _record(cells: list[str], protocols: dict[str, str]) -> FlowRecord:
     """Build a FlowRecord from cell texts in CSV_HEADER order; raises
-    ValueError on a missing timestamp or any bad value."""
-    if cells[0] in _MISSING:
+    ValueError on a missing timestamp or any bad value. protocols maps
+    protocol text to normalize_protocol's result, filled as rows need it."""
+    ts, src_ip, src_port, dst_ip, dst_port, proto, ob, rb, op, rp, duration, label = cells
+    if ts in _MISSING:
         raise ValueError("missing ts")
-    return FlowRecord(*(convert(cell) for convert, cell in zip(_CONVERTERS, cells)))
+    protocol = protocols.get(proto) or protocols.setdefault(proto, normalize_protocol(proto))
+    return FlowRecord(float(ts), src_ip, _parse_count(src_port), dst_ip,
+                      _parse_count(dst_port), protocol, _parse_count(ob), _parse_count(rb),
+                      _parse_count(op), _parse_count(rp),
+                      0.0 if duration in _MISSING else float(duration), Label.parse(label))
 
 
 # A data row's line number and either its cells in CSV_HEADER order or the
@@ -153,12 +152,13 @@ def _ingest(rows: Iterable[_Row]) -> tuple[list[FlowRecord], IngestStats]:
     """Build records from rows, counting each one rejected."""
     records: list[FlowRecord] = []
     stats = IngestStats()
+    protocols: dict[str, str] = {}
     for lineno, cells in rows:
         stats.rows_read += 1
         try:
             if isinstance(cells, str):
                 raise ValueError(cells)
-            records.append(_record(cells))
+            records.append(_record(cells, protocols))
         except ValueError as exc:
             stats.rows_rejected += 1
             logger.debug("rejected line %d: %s", lineno, exc)

@@ -7,6 +7,7 @@ subprocess test confirms the module entry point is wired up.
 from __future__ import annotations
 
 import contextlib
+import csv
 import errno
 import io
 import json
@@ -914,17 +915,20 @@ class TestExitCodes:
 
 
 # Strings a damaged or hostile input file may hold.
-HOSTILE = ["nan", "-1", "1" * 30, "#", '"', "\t", "\x00", "\r"]
+HOSTILE = ["nan", "inf", "1e400", "-1", "1" * 30, "#", '"', "\t", "\x00", "\r", "::", "%"]
+
+# More digits than csv.field_size_limit() lets one cell hold.
+LONG_CELL = "9" * (csv.field_size_limit() + 1)
 
 
 @st.composite
-def edited(draw, text):
-    """text after one edit: a hostile string inserted, a span deleted, a
-    line duplicated, or the tail cut off."""
+def edited(draw, text, hostile=st.sampled_from(HOSTILE)):
+    """text after one edit: a string drawn from hostile inserted, a span
+    deleted, a line duplicated, or the tail cut off."""
     kind = draw(st.sampled_from(["insert", "delete", "duplicate", "truncate"]))
     at = draw(st.integers(0, len(text)))
     if kind == "insert":
-        return text[:at] + draw(st.sampled_from(HOSTILE)) + text[at:]
+        return text[:at] + draw(hostile) + text[at:]
     if kind == "delete":
         return text[:at] + text[draw(st.integers(at, min(len(text), at + 40))):]
     if kind == "duplicate":
@@ -946,8 +950,9 @@ def run_quietly(*argv):
 
 
 class TestPrepareInputEdits:
-    """Whatever a flow log holds, prepare exits with a documented code,
-    and train accepts the sequences file it writes."""
+    """Whatever a flow log holds, a cell too long for csv included, prepare
+    exits with a documented code, and train accepts the sequences file it
+    writes."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
@@ -956,8 +961,9 @@ class TestPrepareInputEdits:
     @settings(max_examples=150, deadline=None)
     @given(text=st.sampled_from([CSV_TEXT, ZEEK_TEXT]), data=st.data())
     def test_exit_code_is_documented(self, work, text, data):
+        hostile = st.sampled_from(HOSTILE) | st.just(LONG_CELL)
         for _ in range(data.draw(st.integers(1, 3))):
-            text = data.draw(edited(text))
+            text = data.draw(edited(text, hostile))
         flows, seqs = work / "flows.in", work / "seqs.txt"
         flows.write_bytes(text.encode("utf-8"))
         code, stderr = run_quietly("prepare", "--in", str(flows), "--out", str(seqs),

@@ -66,6 +66,29 @@ class TestNormalizeProtocol:
         assert normalize_protocol("???") == "other"
 
 
+def stored_ip(text):
+    """The src_ip a FlowRecord stores for text, or None if it refuses it."""
+    try:
+        return FlowRecord(ts=0.0, src_ip=text, src_port=0, dst_ip="10.0.0.2",
+                          dst_port=0, protocol="tcp").src_ip
+    except ValueError:
+        return None
+
+
+def canonical_ip(text):
+    """str(ipaddress.ip_address(text)), or None where ipaddress refuses text
+    or its canonical form holds whitespace (only a zone id can)."""
+    try:
+        canonical = str(ipaddress.ip_address(text))
+    except ValueError:
+        return None
+    return None if any(map(str.isspace, canonical)) else canonical
+
+
+# Address characters, with one non-ASCII digit (Arabic-Indic three).
+IP_CHARS = st.sampled_from(list("0123456789.:%abcdef") + ["\u0663"])
+
+
 class TestFlowRecord:
     def test_accepts_valid(self):
         flow = FlowRecord(ts=1.0, src_ip="10.0.0.1", src_port=1, dst_ip="10.0.0.2",
@@ -96,6 +119,29 @@ class TestFlowRecord:
         flow = FlowRecord(ts=0.0, src_ip="::1", src_port=0, dst_ip="fe80::2",
                           dst_port=0, protocol="udp")
         assert flow.src_ip == "::1"
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_ip_check_is_exact_per_octet(self, position):
+        octets = [str(n) for n in range(1000)] + [
+            "00", "01", "0255", "", "\u0663", "+1", " 1", "1\n"]
+        for octet in octets:
+            parts = ["10", "20", "30", "40"]
+            parts[position] = octet
+            text = ".".join(parts)
+            assert stored_ip(text) == canonical_ip(text)
+
+    @pytest.mark.parametrize("text", [
+        "::ffff:1.2.3.4", "1.2.3.4%eth0", "fe80::1%eth0", "FE80::1%eth0",
+        "fe80::1%eth 0", "1.2.3.4 ", "1.2.3.4.5", "1.2.3", "\u0661.2.3.4"])
+    def test_ip_check_is_exact_on_other_text(self, text):
+        assert stored_ip(text) == canonical_ip(text)
+
+    @settings(max_examples=400)
+    @given(st.one_of(
+        st.text(IP_CHARS, max_size=24),
+        st.lists(st.text(IP_CHARS, max_size=4), min_size=1, max_size=5).map(".".join)))
+    def test_ip_check_is_exact_on_drawn_text(self, text):
+        assert stored_ip(text) == canonical_ip(text)
 
     def test_totals(self):
         flow = FlowRecord(ts=0.0, src_ip="10.0.0.1", src_port=1, dst_ip="10.0.0.2",
