@@ -9,12 +9,11 @@ codes: 0 success, 1 stdout closed early, 2 usage error, 3 format error,
 from __future__ import annotations
 
 import argparse
-import datetime
 import itertools
 import json
 import os
 import sys
-from importlib import resources
+import time
 from pathlib import Path
 from typing import Iterable
 
@@ -50,7 +49,7 @@ _ZERO_POLICIES = {"exclude": "exclude_zero", "most-anomalous": "zero_most_anomal
 
 
 def _now_utc() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def _seq_id(index: int) -> str:
@@ -348,6 +347,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _load_wordlist(path: str | None) -> list[str]:
+    from importlib import resources  # only the bundled list needs it
     source = resources.files("flowlang") / "data/words.txt" if path is None else Path(path)
     words = []
     with source.open(encoding="utf-8") as fh:

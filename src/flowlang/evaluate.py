@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from typing import Iterable
 
@@ -43,7 +42,7 @@ class RocPoint:
     threshold: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Histogram:
     """Equal-width bins over finite scores; non-finite scores (the
     zero_most_anomalous policy emits +inf) land in the overflow pair."""
@@ -165,6 +164,7 @@ def histogram(examples: list[ScoredExample], n_bins: int) -> Histogram:
         # A span too narrow for a float width (it underflows, or lo + 1.0
         # rounds back to lo) or too wide (it overflows) is split in exact
         # arithmetic; a zero span puts every score in the first bin.
+        from fractions import Fraction  # here only: it imports decimal
         exact_lo = Fraction(lo)
         step = (Fraction(hi) - exact_lo) / n_bins
         edges = [float(exact_lo + i * step) for i in range(n_bins)] + [hi]
@@ -172,26 +172,17 @@ def histogram(examples: list[ScoredExample], n_bins: int) -> Histogram:
         def offset(x: float) -> Fraction:
             return (Fraction(x) - exact_lo) / (step or 1)
 
-    normal = [0] * n_bins
-    attack = [0] * n_bins
-    overflow_normal = overflow_attack = 0
+    # Per label: the count in each bin, then the count of non-finite scores.
+    normal = [0] * (n_bins + 1)
+    attack = [0] * (n_bins + 1)
     for e in examples:
         counts = attack if e.label is Label.ATTACK else normal
-        if not math.isfinite(e.anomaly_score):
-            if e.label is Label.ATTACK:
-                overflow_attack += 1
-            else:
-                overflow_normal += 1
-            continue
-        idx = min(int(offset(e.anomaly_score)), n_bins - 1)
-        counts[max(idx, 0)] += 1
-    return Histogram(
-        edges=tuple(edges),
-        normal_counts=tuple(normal),
-        attack_counts=tuple(attack),
-        overflow_normal=overflow_normal,
-        overflow_attack=overflow_attack,
-    )
+        if math.isfinite(e.anomaly_score):
+            counts[max(min(int(offset(e.anomaly_score)), n_bins - 1), 0)] += 1
+        else:
+            counts[n_bins] += 1
+    return Histogram(tuple(edges), tuple(normal[:n_bins]), tuple(attack[:n_bins]),
+                     overflow_normal=normal[n_bins], overflow_attack=attack[n_bins])
 
 
 def evaluate(

@@ -78,18 +78,19 @@ class FlowRecord:
     def __post_init__(self):
         if not math.isfinite(self.ts):
             raise ValueError(f"non-finite timestamp: {self.ts!r}")
-        for name in ("src_port", "dst_port"):
-            port = getattr(self, name)
-            if not 0 <= port <= 65535:
-                raise ValueError(f"{name} out of range: {port}")
-        for name in ("orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"negative {name}")
+        for name in ("src_port", "dst_port", "orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"bad {name}: {value!r}")
+        if max(self.src_port, self.dst_port) > 65535:
+            raise ValueError(f"port out of range: {max(self.src_port, self.dst_port)}")
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise ValueError(f"bad duration: {self.duration!r}")
         for name in ("src_ip", "dst_ip"):
             text = getattr(self, name)
-            if type(text) is str and _IPV4.fullmatch(text):
+            if type(text) is not str:
+                raise ValueError(f"invalid {name}: {text!r}")
+            if _IPV4.fullmatch(text):
                 continue
             try:
                 addr = ipaddress.ip_address(text)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, TextIO
 
 from .errors import FormatError
-from .flows import FlowRecord, Label, total_bytes, total_pkts
+from .flows import _LABELS, FlowRecord, Label, total_bytes, total_pkts
 
 SCHEME_KINDS = ("proto-bytes", "proto-density")
 # Window session kinds and their sizes in seconds.
@@ -22,7 +23,7 @@ WINDOWS = {"hour": 3600.0, "day": 86400.0, "week": 604800.0}
 SESSION_KINDS = (*WINDOWS, "gap")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TokenScheme:
     """How a single flow becomes a token.
 
@@ -41,7 +42,7 @@ class TokenScheme:
             raise ValueError(f"bucket_width must be >= 1, got {self.bucket_width}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SessionPolicy:
     """How one endpoint pair's flows are cut into sequences.
 
@@ -329,20 +330,27 @@ def read_sequences(lines: Iterable[str]) -> tuple[list[Sequence], Vocabulary]:
             raise FormatError(f"line {lineno}: {exc}") from None
 
     sequences: list[Sequence] = []
-    size = len(vocab)
+    # Each id as write_sequences spells it: a piece of a row's ids is a key
+    # exactly when it writes back as itself and names a vocabulary token.
+    table = {str(i): i for i in range(len(vocab))}
     for lineno, raw in it:
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
         try:
             label, ip_low, ip_high, start, ids = line.split("\t")
-            seq = Sequence(ip_low, ip_high, float(start),
-                           tuple(map(int, ids.split(" "))), Label(label))
-            if _sequence_line(seq) != line:
+            window_start = float(start)
+            if repr(window_start) != start or label not in _LABELS:
                 raise ValueError(f"not as written: {line!r}")
-            low, high = min(seq.token_ids), max(seq.token_ids)
-            if low < 0 or high >= size:
-                raise ValueError(f"token id out of range: {low if low < 0 else high}")
+            seq = Sequence(ip_low, ip_high, window_start,
+                           tuple(map(table.__getitem__, ids.split(" "))), _LABELS[label])
+        except KeyError as exc:
+            # A piece that is no id's text: out of range if it is an int as
+            # str spells it, else not as written.
+            piece = exc.args[0]
+            fault = (f"token id out of range: {piece}" if re.fullmatch("0|-?[1-9][0-9]*", piece)
+                     else f"not as written: {line!r}")
+            raise FormatError(f"line {lineno}: {fault}") from None
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         sequences.append(seq)

@@ -38,7 +38,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PstParams:
     """Construction hyperparameters.
 

@@ -95,7 +95,7 @@ class MarkovSpec:
             raise ValueError(f"context {ctx} has symbols outside the alphabet")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GenConfig:
     n_sequences: int
     length_min: int

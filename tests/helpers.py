@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from flowlang.errors import FormatError
 from flowlang.flows import Label
-from flowlang.language import Vocabulary, _sort_key
+from flowlang.language import Sequence, Vocabulary, _sequence_line, _sort_key, read_sequences
 from flowlang.pst import ContextCounts, Pst, PstParams
 from flowlang.synth import MarkovSpec
 
@@ -356,6 +357,41 @@ def random_markov_spec(rng, order, alphabet_size):
         transitions=transitions,
         initial=initial,
     )
+
+
+# ---------------------------------------------------------------------------
+# sequences files
+
+
+def oracle_read_sequences(lines):
+    """read_sequences with each data line checked in three steps: build the
+    Sequence from int ids and Label(text), write it back and compare, then
+    test that the smallest and largest id lie in the vocabulary.
+
+    The header and vocabulary block go to read_sequences itself, so only
+    the data lines are checked independently. Raises FormatError naming
+    the line of the first bad data line.
+    """
+    lines = [raw.rstrip("\n") for raw in lines]
+    at = next(i for i, line in enumerate(lines) if line.partition(" ")[0] == "#vocab")
+    end = at + 1 + int(lines[at].partition(" ")[2])
+    _, vocab = read_sequences(line + "\n" for line in lines[:end])
+    sequences = []
+    for lineno, line in enumerate(lines[end:], start=end + 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        try:
+            label, ip_low, ip_high, start, ids = line.split("\t")
+            seq = Sequence(ip_low, ip_high, float(start),
+                           tuple(int(piece) for piece in ids.split(" ")), Label(label))
+            if _sequence_line(seq) != line:
+                raise ValueError("not as written")
+            if min(seq.token_ids) < 0 or max(seq.token_ids) >= len(vocab):
+                raise ValueError("token id out of range")
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        sequences.append(seq)
+    return sequences, vocab
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -800,6 +803,23 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
+def test_now_utc_is_a_utc_stamp():
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", flowlang.cli._now_utc())
+
+
+def test_import_leaves_out_modules_no_stage_start_needs():
+    # Each stage is a process of its own and pays for every module the CLI
+    # imports. fractions (with decimal) is imported for histogram's exact
+    # branch only, importlib.resources for the bundled word list only. -S
+    # leaves out what site imports for this environment.
+    code = ("import sys, flowlang.cli; print(sorted({'datetime', 'fractions', 'decimal',"
+            " 'importlib.resources'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(flowlang.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def _output_bytes(path):
     if path.is_dir():
         return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
@@ -1012,3 +1032,83 @@ class TestTrainInputEdits:
                                        "--in", str(corpus),
                                        "--out", str(work / "scores.csv"))
             assert (code, stderr) == (0, "")
+
+
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    """A 40-sequence synth corpus with both labels, its model and its
+    scores, for the edit properties of score and eval."""
+    root = tmp_path_factory.mktemp("small-pipeline")
+    for argv in (["synth", "--out", "{root}/corpus.txt", "--n", "40", "--length-min", "3",
+                  "--length-max", "9", "--anomaly-fraction", "0.25", "--seed", "5",
+                  "--no-timestamp"],
+                 ["train", "--in", "{root}/corpus.txt", "--out", "{root}/model.json",
+                  "--epsilon", "0.01", "--no-timestamp"],
+                 ["score", "--model", "{root}/model.json", "--in", "{root}/corpus.txt",
+                  "--out", "{root}/scores.csv"],
+                 ["eval", "--scores", "{root}/scores.csv", "--sequences", "{root}/corpus.txt",
+                  "--out-dir", "{root}/report"]):
+        assert run_quietly(*(a.format(root=root) for a in argv)) == (0, "")
+    return root
+
+
+class TestScoreModelEdits:
+    """Whatever a model file holds, score exits with a documented code, and
+    eval reads the scores it writes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, small_pipeline, data):
+        work = small_pipeline
+        text = (work / "model.json").read_text(encoding="utf-8")
+        for _ in range(data.draw(st.integers(1, 3))):
+            text = data.draw(edited(text))
+        model, scores = work / "edited-model.json", work / "edited-model-scores.csv"
+        model.write_bytes(text.encode("utf-8"))
+        code, stderr = run_quietly("score", "--model", str(model),
+                                   "--in", str(work / "corpus.txt"), "--out", str(scores))
+        # The parameters and the sequences are valid, so a bad model is a
+        # format error (3), never a usage (2) or data (4) error.
+        assert code in (0, 3)
+        if code:
+            assert stderr.strip()
+        else:
+            code, stderr = run_quietly("eval", "--scores", str(scores),
+                                       "--sequences", str(work / "corpus.txt"),
+                                       "--out-dir", str(work / "edited-model-report"))
+            # 4 when the model gives every sequence of one label zero
+            # likelihood, which eval excludes.
+            assert code in (0, 4)
+            if code:
+                assert stderr.startswith("data error: ")
+
+
+class TestEvalInputEdits:
+    """Whatever the scores and sequences files hold, eval exits with a
+    documented code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, small_pipeline, data):
+        work = small_pipeline
+        texts = {name: (work / name).read_text(encoding="utf-8")
+                 for name in ("scores.csv", "corpus.txt")}
+        for _ in range(data.draw(st.integers(1, 3))):
+            name = data.draw(st.sampled_from(sorted(texts)))
+            texts[name] = data.draw(edited(texts[name]))
+        for name, text in texts.items():
+            (work / f"edited-{name}").write_bytes(text.encode("utf-8"))
+        code, stderr = run_quietly("eval", "--scores", str(work / "edited-scores.csv"),
+                                   "--sequences", str(work / "edited-corpus.txt"),
+                                   "--out-dir", str(work / "edited-report"))
+        # The parameters are valid, so a bad input is a format error (3) or
+        # a data error (4), never a usage error (2).
+        assert code in (0, 3, 4)
+        if code:
+            assert stderr.strip()
+        else:
+            # eval took each scores row only as score writes its score.
+            with open(work / "edited-scores.csv", encoding="utf-8") as fh:
+                rows = [line.rstrip("\n") for line in fh][1:]
+            scores = _parse_scores_csv([SCORES_HEADER, *rows])
+            assert [row for row in rows if row] == list(map(_score_row, itertools.count(), scores))

@@ -115,6 +115,29 @@ class TestFlowRecord:
         with pytest.raises(ValueError):
             FlowRecord(**base)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"src_ip": 167772161},
+        {"dst_ip": b"abcd"},
+        {"src_ip": ipaddress.IPv4Address("10.0.0.1")},
+        {"src_port": 1.5},
+        {"dst_port": True},
+        {"src_port": "80"},
+        {"orig_bytes": 2.0},
+        {"resp_bytes": False},
+        {"orig_pkts": "3"},
+        {"resp_pkts": 1.0},
+    ], ids=["ip-int", "ip-bytes", "ip-object", "port-float", "port-bool", "port-str",
+            "bytes-float", "bytes-bool", "pkts-str", "pkts-float"])
+    def test_rejects_wrong_types(self, kwargs):
+        # An address must be text and a port or count an int (not a bool):
+        # write_labeled_csv writes any other value as text no parser reads
+        # back as that value.
+        base = dict(ts=1.0, src_ip="10.0.0.1", src_port=1, dst_ip="10.0.0.2",
+                    dst_port=2, protocol="tcp")
+        base.update(kwargs)
+        with pytest.raises(ValueError):
+            FlowRecord(**base)
+
     def test_ipv6_allowed(self):
         flow = FlowRecord(ts=0.0, src_ip="::1", src_port=0, dst_ip="fe80::2",
                           dst_port=0, protocol="udp")
@@ -327,6 +350,31 @@ class TestCsvRoundTrip:
         assert parsed == flows
         assert stats.rows_parsed == len(flows)
         assert stats.rows_rejected == 0
+
+
+# Values of the wrong type for a flow field, or of the right type.
+any_field_value = st.one_of(
+    st.integers(-1, 2**32), st.floats(0, 70000), st.booleans(),
+    st.binary(min_size=4, max_size=4), st.sampled_from(["10.0.0.1", "::1", "80", "1.5"]))
+
+
+class TestRecordsRoundTrip:
+    @settings(max_examples=200)
+    @given(flow_records, st.sampled_from(["src_ip", "dst_ip", "src_port", "dst_port",
+                                          "orig_bytes", "resp_bytes", "orig_pkts",
+                                          "resp_pkts"]), any_field_value)
+    def test_every_record_built_reads_back(self, flow, name, value):
+        # A record FlowRecord builds, whatever the type of one field, is
+        # written by write_labeled_csv as a row parse_labeled_csv reads back
+        # as that record.
+        try:
+            flow = dataclasses.replace(flow, **{name: value})
+        except ValueError:
+            return
+        buf = io.StringIO()
+        write_labeled_csv([flow], buf)
+        parsed, stats = parse_labeled_csv(io.StringIO(buf.getvalue()))
+        assert (parsed, stats.rows_rejected) == ([flow], 0)
 
 
 # Cell texts either parser must read alike: no separators, no quotes, no

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_sessions
+from helpers import brute_sessions, oracle_read_sequences
 from flowlang.cli import SCORES_HEADER, _parse_scores_csv
 from flowlang.errors import FormatError
 from flowlang.flows import FlowRecord, Label
@@ -391,6 +391,35 @@ NON_CANONICAL_ROWS = {
 }
 
 
+# Text an edit puts in place of one id of a data row over a 12-token
+# vocabulary: spellings write_sequences never gives, the id one past the
+# vocabulary, an empty id (a double, leading or trailing space), and ids
+# that are valid.
+ID_EDITS = ["-0", "00", "+1", "1_0", "\u0663", "\u00b2", "12", "", "11", "0"]
+# Text an edit inserts anywhere in a row or puts in place of a field: also
+# window starts that are no float's repr and labels no Label has.
+ROW_EDITS = [*ID_EDITS, " ", "1e0", "-1e400", "nan", "7", "Normal", "attack", "1.0"]
+
+
+@st.composite
+def row_edit(draw, row):
+    """row with one ROW_EDITS text inserted anywhere or put in place of one
+    of its fields, or one ID_EDITS text put in place of one of its ids."""
+    kind = draw(st.sampled_from(["insert", "field", "id", "id"]))
+    text = draw(st.sampled_from(ID_EDITS if kind == "id" else ROW_EDITS))
+    if kind == "insert":
+        at = draw(st.integers(0, len(row)))
+        return row[:at] + text + row[at:]
+    fields = row.split("\t")
+    if kind == "field":
+        fields[draw(st.integers(0, len(fields) - 1))] = text
+    else:
+        ids = fields[-1].split(" ")
+        ids[draw(st.integers(0, len(ids) - 1))] = text
+        fields[-1] = " ".join(ids)
+    return "\t".join(fields)
+
+
 class TestSequenceFile:
     @staticmethod
     def written(sequences, vocab):
@@ -413,6 +442,30 @@ class TestSequenceFile:
         except FormatError:
             return
         assert self.written(*parsed) == f"{text}{row}\n"
+
+    @settings(max_examples=300)
+    @given(st.lists(any_sequence(), min_size=1, max_size=6), st.data())
+    def test_reader_agrees_with_oracle(self, sequences, data):
+        # 1-3 edits of the data rows; read_sequences and the oracle both
+        # accept, with equal sequences, or both refuse.
+        lines = self.written(sequences, Vocabulary([f"t{i}_b{i}" for i in range(12)])).split("\n")
+        first = lines.index("#vocab 12") + 13
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(first, len(lines) - 2))
+            lines[k] = data.draw(row_edit(lines[k]))
+        outcomes = []
+        for reader in (read_sequences, oracle_read_sequences):
+            try:
+                outcomes.append(reader(io.StringIO("\n".join(lines))))
+            except FormatError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("label", ["7", "0", "-1", "Normal"])
+    def test_bad_label_is_not_a_token_id(self, label):
+        text = f"#vocab 1\n0\ta\n{label}\ta\tb\t0.0\t0\n"
+        with pytest.raises(FormatError, match="^line 3: not as written: "):
+            read_sequences(io.StringIO(text))
 
     @pytest.mark.parametrize("comment", [
         "two\nlines", "two\rlines", "two\r\nlines", "trailing\n", "\n",
