@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
@@ -270,20 +271,14 @@ def _parse_scores_csv(lines: Iterable[str]) -> list[Score]:
 
 
 def _report_json(report: EvalReport) -> dict:
-    h = report.histogram
     return {
         "auc": report.auc,
         "n_attack": report.n_attack,
         "n_normal": report.n_normal,
         "n_zero_likelihood": report.n_zero_likelihood,
         "precision_at": {str(n): v for n, v in sorted(report.precision_at.items())},
-        "histogram": {
-            "edges": list(h.edges),
-            "normal_counts": list(h.normal_counts),
-            "attack_counts": list(h.attack_counts),
-            "overflow_normal": h.overflow_normal,
-            "overflow_attack": h.overflow_attack,
-        },
+        # json writes the histogram's tuples as lists.
+        "histogram": asdict(report.histogram),
     }
 
 
@@ -407,9 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

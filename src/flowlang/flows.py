@@ -12,6 +12,7 @@ import ipaddress
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
@@ -76,6 +77,14 @@ class FlowRecord:
     label: Label = Label.UNLABELED
 
     def __post_init__(self):
+        for name in ("ts", "duration"):
+            value = getattr(self, name)
+            # The parsers pass floats. An int is stored as the float nearest
+            # it, so equal records write equal rows; a bool is no number.
+            if type(value) is not float:
+                if type(value) is not int or abs(value) > sys.float_info.max:
+                    raise ValueError(f"bad {name}: {value!r}")
+                object.__setattr__(self, name, float(value))
         if not math.isfinite(self.ts):
             raise ValueError(f"non-finite timestamp: {self.ts!r}")
         for name in ("src_port", "dst_port", "orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts"):
@@ -92,18 +101,16 @@ class FlowRecord:
                 raise ValueError(f"invalid {name}: {text!r}")
             if _IPV4.fullmatch(text):
                 continue
+            # Valid IPv4 text matched _IPV4, so this is IPv6 or invalid. One
+            # IPv6 host has many spellings; keep the canonical one so it forms
+            # one endpoint. Only a zone id can hold whitespace, which splits a row.
             try:
-                addr = ipaddress.ip_address(text)
+                canonical = str(ipaddress.IPv6Address(text))
             except ValueError as exc:
                 raise ValueError(f"invalid {name}: {text!r}") from exc
-            # One IPv6 host has many spellings; keep the canonical one so
-            # it forms one endpoint (valid IPv4 text matched _IPV4). Only
-            # an IPv6 zone id can hold whitespace, which would split a row.
-            if addr.version == 6:
-                canonical = str(addr)
-                if any(map(str.isspace, canonical)):
-                    raise ValueError(f"whitespace in {name}: {text!r}")
-                object.__setattr__(self, name, canonical)
+            if any(map(str.isspace, canonical)):
+                raise ValueError(f"whitespace in {name}: {text!r}")
+            object.__setattr__(self, name, canonical)
 
 
 def total_bytes(flow: FlowRecord) -> int:

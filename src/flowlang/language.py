@@ -119,8 +119,9 @@ class Sequence:
     def __post_init__(self):
         if not self.token_ids:
             raise ValueError("empty sequence")
-        if not math.isfinite(self.window_start):
-            raise ValueError(f"non-finite window start: {self.window_start!r}")
+        # write_sequences writes a float's repr, the only start its reader takes.
+        if type(self.window_start) is not float or not math.isfinite(self.window_start):
+            raise ValueError(f"window start is no finite float: {self.window_start!r}")
         if self.ip_low > self.ip_high:
             raise ValueError(f"endpoint pair not ordered: {self.ip_low!r} > {self.ip_high!r}")
         for ip in (self.ip_low, self.ip_high):
@@ -178,7 +179,8 @@ def _session_starts(flows: list[FlowRecord], policy: SessionPolicy) -> list[floa
     flows falls in: the start of its hour, day or week window, or under
     gap the ts of the first flow after a silence longer than gap_seconds.
     A window start is ts less its remainder: the largest multiple of the
-    size not above ts, finite for every finite ts (+ 0.0 makes -0.0 0.0)."""
+    size not above ts, finite for every finite ts. Either start gets
+    + 0.0, which makes -0.0 0.0."""
     size = WINDOWS.get(policy.kind)
     if size is not None:
         return [f.ts - f.ts % size + 0.0 for f in flows]
@@ -186,7 +188,7 @@ def _session_starts(flows: list[FlowRecord], policy: SessionPolicy) -> list[floa
     start = prev = -math.inf
     for f in flows:
         if f.ts - prev > policy.gap_seconds:
-            start = f.ts
+            start = f.ts + 0.0
         starts.append(start)
         prev = f.ts
     return starts

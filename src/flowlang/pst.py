@@ -283,8 +283,9 @@ def make_tree(dists: dict[tuple[int, ...], dict[int, float]], params: PstParams,
     if () not in dists:
         raise ValueError("missing root node")
     pst = Pst([], params, vocab, n_sequences, n_tokens)
-    # The smoothed log2 probability of a symbol that a row lacks.
-    unseen = _log2(pst.smoothed(PstNode((), {}), 0))
+    # The smoothed log2 probability of a symbol that a row lacks:
+    # (1 - m * epsilon) * 0.0 + epsilon is exactly epsilon.
+    unseen = _log2(params.epsilon)
     nodes: dict[tuple[int, ...], PstNode] = {}
     for ctx in sorted(dists, key=lambda c: (len(c), c)):
         dist = dists[ctx]
@@ -318,40 +319,35 @@ def _automaton(nodes: dict[tuple[int, ...], PstNode], m: int) -> tuple:
     of nodes over m symbols (Aho & Corasick, Efficient string matching,
     1975; the PST to PSA equivalence of Ron, Singer & Tishby, 1996).
 
-    A state is a prefix of a stored context, oldest symbol first, held as
+    A state is a prefix P of a stored context, oldest symbol first, held as
     (log2_row, edges, fail): the log2_row of its longest stored suffix, the
     same list the node holds; its trie edges, {sym: the state one symbol
-    longer}; and its fail state, its longest proper suffix that is a state.
+    longer}; and its fail state, that of P[1:], its longest proper suffix.
     The start state is the empty prefix, with the root's row; its edges
     cover all m symbols, a missing one leading back to itself, so every
     fail chain ends there. After a history, the state reached is the
     history's longest suffix that is a state, whose row is that of
     lookup_context's node. States and edges take O(states + m) memory.
+
+    nodes must hold the root, be closed under suffixes and come in
+    (len(context), context) order, as make_tree inserts them. Then for a
+    prefix P of a context c, P[1:] is a prefix of c[1:], a shorter stored
+    context walked before c, so the state of P[1:] exists before P's.
     """
-    prefixes: set[tuple[int, ...]] = set()
-    for ctx in nodes:
-        # A prefix's own prefixes are states too: stop at the first seen.
-        while ctx and ctx not in prefixes:
-            prefixes.add(ctx)
-            ctx = ctx[:-1]
     root_edges: dict[int, tuple] = {}
     root = (nodes[()].log2_row, root_edges, None)
     root_edges.update(dict.fromkeys(range(m), root))
     states = {(): root}
-    # By length, so every shorter state and its edges exist before a fail
-    # state is looked up through them.
-    for prefix in sorted(prefixes, key=len):
-        parent = states[prefix[:-1]]
-        sym = prefix[-1]
-        fail = root
-        if len(prefix) > 1:
-            fail = parent[2]
-            while sym not in fail[1]:
-                fail = fail[2]
-            fail = fail[1][sym]
-        node = nodes.get(prefix)
-        state = (fail[0] if node is None else node.log2_row, {}, fail)
-        parent[1][sym] = states[prefix] = state
+    for ctx in nodes:
+        missing = []
+        while ctx not in states:
+            missing.append(ctx)
+            ctx = ctx[:-1]
+        for prefix in reversed(missing):
+            fail = states[prefix[1:]]
+            node = nodes.get(prefix)
+            state = (fail[0] if node is None else node.log2_row, {}, fail)
+            states[prefix[:-1]][1][prefix[-1]] = states[prefix] = state
     return root
 
 

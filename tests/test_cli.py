@@ -166,6 +166,12 @@ class TestPrepare:
             main(["prepare", "--in", "x", "--out", "y", "--session", "fortnight"])
         assert exc.value.code == 2
 
+    def test_bad_gap_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["prepare", "--in", "x", "--out", "y", "--session", "gap:x"])
+        assert exc.value.code == 2
+        assert "could not convert string to float" in capsys.readouterr().err
+
     def test_quoted_csv_header(self, tmp_path, capsys):
         # The CSV parser alone judges the header, cell by cell as csv
         # splits it; the first line only picks that parser.
@@ -548,6 +554,51 @@ class TestEval:
         assert code == 0
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert len(report["histogram"]["normal_counts"]) == 5
+
+    @pytest.mark.parametrize("text", ["1", "1,5"])
+    def test_precision_at_accepts_depth_one(self, pipeline, tmp_path, capsys, text):
+        code, stdout, _ = run(capsys, "eval",
+                              "--scores", str(pipeline / "scores.csv"),
+                              "--sequences", str(pipeline / "corpus.txt"),
+                              "--out-dir", str(tmp_path / "r"), "--precision-at", text)
+        assert code == 0
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert sorted(report["precision_at"]) == text.split(",")
+        assert "precision@1: " in stdout
+
+    @pytest.mark.parametrize("text", ["0", "x", ",", "1,0"])
+    def test_bad_precision_at_is_usage_error(self, tmp_path, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--scores", "s", "--sequences", "q", "--out-dir",
+                  str(tmp_path / "r"), "--precision-at", text])
+        assert exc.value.code == 2
+        assert "--precision-at" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_one_bin(self, pipeline, tmp_path, capsys):
+        code, _, _ = run(capsys, "eval",
+                         "--scores", str(pipeline / "scores.csv"),
+                         "--sequences", str(pipeline / "corpus.txt"),
+                         "--out-dir", str(tmp_path / "r"), "--bins", "1")
+        assert code == 0
+        histogram = json.loads((tmp_path / "r" / "report.json").read_text())["histogram"]
+        assert len(histogram["edges"]) == 2
+        assert histogram["normal_counts"][0] + histogram["attack_counts"][0] == 300
+        assert len((tmp_path / "r" / "hist.csv").read_text().splitlines()) == 1 + 1 + 1
+
+    def test_blank_lines_in_scores_are_skipped(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "scores.csv").read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(lines[0] + "".join(line + "\n" for line in lines[1:]))
+        outputs = []
+        for scores in (pipeline / "scores.csv", spaced):
+            out_dir = tmp_path / scores.stem
+            assert run(capsys, "eval", "--scores", str(scores),
+                       "--sequences", str(pipeline / "corpus.txt"),
+                       "--out-dir", str(out_dir))[0] == 0
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("report.json", "roc.csv", "hist.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_single_class_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

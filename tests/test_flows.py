@@ -126,17 +126,33 @@ class TestFlowRecord:
         {"resp_bytes": False},
         {"orig_pkts": "3"},
         {"resp_pkts": 1.0},
+        {"ts": True},
+        {"ts": "1.0"},
+        {"ts": 10**400},
+        {"duration": False},
+        {"duration": "0.5"},
     ], ids=["ip-int", "ip-bytes", "ip-object", "port-float", "port-bool", "port-str",
-            "bytes-float", "bytes-bool", "pkts-str", "pkts-float"])
+            "bytes-float", "bytes-bool", "pkts-str", "pkts-float", "ts-bool", "ts-str",
+            "ts-huge-int", "duration-bool", "duration-str"])
     def test_rejects_wrong_types(self, kwargs):
-        # An address must be text and a port or count an int (not a bool):
-        # write_labeled_csv writes any other value as text no parser reads
-        # back as that value.
+        # An address must be text, a port or count an int and a ts or
+        # duration a number (not a bool): write_labeled_csv writes any other
+        # value as text no parser reads back as that value.
         base = dict(ts=1.0, src_ip="10.0.0.1", src_port=1, dst_ip="10.0.0.2",
                     dst_port=2, protocol="tcp")
         base.update(kwargs)
         with pytest.raises(ValueError):
             FlowRecord(**base)
+
+    def test_int_times_are_stored_as_floats(self):
+        # Equal records write equal rows: ts 5 and 5.0 are one record.
+        flow = FlowRecord(ts=5, src_ip="10.0.0.1", src_port=1, dst_ip="10.0.0.2",
+                          dst_port=2, protocol="tcp", duration=2)
+        assert (type(flow.ts), type(flow.duration)) == (float, float)
+        written = [io.StringIO(), io.StringIO()]
+        write_labeled_csv([flow], written[0])
+        write_labeled_csv([dataclasses.replace(flow, ts=5.0, duration=2.0)], written[1])
+        assert written[0].getvalue() == written[1].getvalue()
 
     def test_ipv6_allowed(self):
         flow = FlowRecord(ts=0.0, src_ip="::1", src_port=0, dst_ip="fe80::2",
@@ -360,9 +376,9 @@ any_field_value = st.one_of(
 
 class TestRecordsRoundTrip:
     @settings(max_examples=200)
-    @given(flow_records, st.sampled_from(["src_ip", "dst_ip", "src_port", "dst_port",
+    @given(flow_records, st.sampled_from(["ts", "src_ip", "dst_ip", "src_port", "dst_port",
                                           "orig_bytes", "resp_bytes", "orig_pkts",
-                                          "resp_pkts"]), any_field_value)
+                                          "resp_pkts", "duration"]), any_field_value)
     def test_every_record_built_reads_back(self, flow, name, value):
         # A record FlowRecord builds, whatever the type of one field, is
         # written by write_labeled_csv as a row parse_labeled_csv reads back

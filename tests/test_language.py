@@ -106,6 +106,11 @@ class TestSequenceType:
         for start in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 Sequence(ip_low="a", ip_high="b", window_start=start, token_ids=(0,))
+        # write_sequences writes repr(window_start), and its reader takes
+        # only a float's repr: True or 5 would be written as "True" or "5".
+        for start in (True, 5, "0.0"):
+            with pytest.raises(ValueError, match="window start"):
+                Sequence(ip_low="a", ip_high="b", window_start=start, token_ids=(0,))
         # A tab or line break would split the row written for it.
         for ip in ("a\tb", "a\rb", "a\nb", "a b", "a\u2028b"):
             with pytest.raises(ValueError, match="whitespace in endpoint"):
@@ -193,6 +198,17 @@ class TestSessionize:
         sequences, _ = sessionize(flows, TokenScheme(), policy)
         assert [len(s.token_ids) for s in sequences] == [2, 1]
         assert [s.window_start for s in sequences] == [0.0, 3601.0]
+
+    def test_gap_sessions_of_int_timestamps_read_back(self):
+        policy = SessionPolicy(kind="gap", gap_seconds=10.0)
+        flows = [flow(0), flow(5), flow(100), flow(-0.0, src="10.0.0.3")]
+        sequences, vocab = sessionize(flows, TokenScheme(), policy)
+        assert [s.window_start for s in sequences] == [0.0, 100.0, 0.0]
+        buf = io.StringIO()
+        write_sequences(sequences, vocab, buf)
+        # -0.0 starts its session at 0.0, as a window start does.
+        assert "\t-0.0\t" not in buf.getvalue()
+        assert read_sequences(io.StringIO(buf.getvalue())) == (sequences, vocab)
 
     def test_unordered_pair_grouping(self):
         flows = [flow(1.0, src="10.0.0.9", dst="10.0.0.2"),
@@ -442,6 +458,15 @@ class TestSequenceFile:
         except FormatError:
             return
         assert self.written(*parsed) == f"{text}{row}\n"
+
+    def test_blank_and_comment_lines_between_rows_add_none(self):
+        sequences = [Sequence("a", "b", float(i), (i, 0)) for i in range(3)]
+        vocab = Vocabulary(["t0_b0", "t1_b1", "t2_b2"])
+        lines = self.written(sequences, vocab).splitlines(keepends=True)
+        first = lines.index("#vocab 3\n") + 4
+        lines[first + 1:first + 1] = ["\n", "  \t\n", "# a note\n"]
+        lines[first + 5:first + 5] = ["#\n"]
+        assert read_sequences(lines) == (sequences, vocab)
 
     @settings(max_examples=300)
     @given(st.lists(any_sequence(), min_size=1, max_size=6), st.data())

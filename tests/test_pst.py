@@ -769,6 +769,30 @@ class TestAutomaton:
                 assert state[0] is lookup_context(pst, ids[:i]).log2_row
 
     @settings(max_examples=200, deadline=None)
+    @given(pst=trees)
+    def test_fail_state_is_prefix_less_oldest_symbol(self, pst):
+        # The states, found along trie edges (the start state's other edges
+        # lead back to it), are exactly the prefixes of the stored contexts,
+        # and the fail state of the one reached by P is the one reached by P[1:].
+        root = pst.automaton
+        states = {(): root}
+        todo = [()]
+        while todo:
+            prefix = todo.pop()
+            for sym, state in states[prefix][1].items():
+                if state is not root:
+                    states[prefix + (sym,)] = state
+                    todo.append(prefix + (sym,))
+        assert states.keys() == {node.context[:k] for node in pst.nodes
+                                 for k in range(len(node.context) + 1)}
+        assert root[2] is None
+        for prefix, state in states.items():
+            if prefix:
+                assert state[2] is states[prefix[1:]]
+                *_, reached = automaton_states(pst, prefix)
+                assert reached is state
+
+    @settings(max_examples=200, deadline=None)
     @given(pst=trees, data=st.data())
     def test_score_bit_equal_to_lookup_reference(self, pst, data):
         ids = data.draw(histories(pst, oov=True))

@@ -122,6 +122,10 @@ class TestMarkovSpec:
         with pytest.raises(ValueError):
             MarkovSpec(order=-1, alphabet_size=2, transitions={}, initial={})
 
+    def test_rejects_empty_alphabet(self):
+        with pytest.raises(ValueError, match="alphabet_size"):
+            MarkovSpec(order=0, alphabet_size=0, transitions={}, initial={})
+
 
 class TestGenConfig:
     @pytest.mark.parametrize("kwargs", [
