@@ -9,6 +9,7 @@ statistic with ties counted half.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
@@ -147,7 +148,9 @@ def precision_at_n(examples: list[ScoredExample], n: int) -> float:
 
 def histogram(examples: list[ScoredExample], n_bins: int) -> Histogram:
     """Per-label counts over n_bins equal-width bins spanning the finite
-    scores; the final bin is closed on the right."""
+    scores. A score is counted in the row whose edges hold it, [lo, hi),
+    or [lo, hi] for the last row; where equal edges leave a row empty, a
+    score goes to the last row whose lower edge is at or below it."""
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     finite = [e.anomaly_score for e in examples if math.isfinite(e.anomaly_score)]
@@ -157,20 +160,14 @@ def histogram(examples: list[ScoredExample], n_bins: int) -> Histogram:
     width = (hi - lo) / n_bins
     if 0.0 < width < math.inf:
         edges = [lo + i * width for i in range(n_bins)] + [hi]
-
-        def offset(x: float) -> float:
-            return (x - lo) / width
     else:
         # A span too narrow for a float width (it underflows, or lo + 1.0
         # rounds back to lo) or too wide (it overflows) is split in exact
-        # arithmetic; a zero span puts every score in the first bin.
+        # arithmetic.
         from fractions import Fraction  # here only: it imports decimal
-        exact_lo = Fraction(lo)
-        step = (Fraction(hi) - exact_lo) / n_bins
-        edges = [float(exact_lo + i * step) for i in range(n_bins)] + [hi]
-
-        def offset(x: float) -> Fraction:
-            return (Fraction(x) - exact_lo) / (step or 1)
+        start = Fraction(lo)
+        step = (Fraction(hi) - start) / n_bins
+        edges = [float(start + i * step) for i in range(n_bins)] + [hi]
 
     # Per label: the count in each bin, then the count of non-finite scores.
     normal = [0] * (n_bins + 1)
@@ -178,7 +175,7 @@ def histogram(examples: list[ScoredExample], n_bins: int) -> Histogram:
     for e in examples:
         counts = attack if e.label is Label.ATTACK else normal
         if math.isfinite(e.anomaly_score):
-            counts[max(min(int(offset(e.anomaly_score)), n_bins - 1), 0)] += 1
+            counts[bisect_right(edges, e.anomaly_score, 1, n_bins) - 1] += 1
         else:
             counts[n_bins] += 1
     return Histogram(tuple(edges), tuple(normal[:n_bins]), tuple(attack[:n_bins]),

@@ -33,6 +33,9 @@ _MISSING = {"-", "(empty)", ""}
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _IPV4 = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
 
+# Exactly the protocol names normalize_protocol keeps unchanged.
+_PROTOCOL = re.compile("[a-z0-9]+")
+
 
 class Label(enum.Enum):
     NORMAL = "normal"
@@ -95,6 +98,12 @@ class FlowRecord:
             raise ValueError(f"port out of range: {max(self.src_port, self.dst_port)}")
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise ValueError(f"bad duration: {self.duration!r}")
+        # Any other protocol or label is written as text that reads back as
+        # another value, or not at all.
+        if type(self.protocol) is not str or not _PROTOCOL.fullmatch(self.protocol):
+            raise ValueError(f"bad protocol: {self.protocol!r}")
+        if type(self.label) is not Label:
+            raise ValueError(f"bad label: {self.label!r}")
         for name in ("src_ip", "dst_ip"):
             text = getattr(self, name)
             if type(text) is not str:
@@ -131,10 +140,20 @@ class IngestStats:
         return self.rows_read - self.rows_rejected
 
 
+# int() and float() also read "+443", "1_000" and non-ASCII digits such as
+# "\u0663"; a count is ASCII digits only, a ts or duration ASCII without "_".
 def _parse_count(text: str) -> int:
+    if text.isdigit() and text.isascii():
+        return int(text)
     if text in _MISSING:
         return 0
-    return int(text)
+    raise ValueError(f"bad count: {text!r}")
+
+
+def _parse_real(text: str) -> float:
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"bad number: {text!r}")
+    return float(text)
 
 
 def _record(cells: list[str], protocols: dict[str, str]) -> FlowRecord:
@@ -145,10 +164,10 @@ def _record(cells: list[str], protocols: dict[str, str]) -> FlowRecord:
     if ts in _MISSING:
         raise ValueError("missing ts")
     protocol = protocols.get(proto) or protocols.setdefault(proto, normalize_protocol(proto))
-    return FlowRecord(float(ts), src_ip, _parse_count(src_port), dst_ip,
+    return FlowRecord(_parse_real(ts), src_ip, _parse_count(src_port), dst_ip,
                       _parse_count(dst_port), protocol, _parse_count(ob), _parse_count(rb),
                       _parse_count(op), _parse_count(rp),
-                      0.0 if duration in _MISSING else float(duration), Label.parse(label))
+                      0.0 if duration in _MISSING else _parse_real(duration), Label.parse(label))
 
 
 # A data row's line number and either its cells in CSV_HEADER order or the

@@ -30,7 +30,7 @@ from flowlang.errors import FormatError
 from flowlang.flows import Label
 from flowlang.language import Sequence, Vocabulary, read_sequences, write_sequences
 from flowlang.pst import (
-    PstParams, build_tree, count_contexts, load_model, score_sequence)
+    PstParams, Score, build_tree, count_contexts, load_model, score_sequence)
 
 
 def run(capsys, *argv):
@@ -635,6 +635,24 @@ class TestEval:
         assert sum(report["histogram"]["normal_counts"]) == 1
         assert sum(report["histogram"]["attack_counts"]) == 1
 
+    def test_score_on_an_edge_is_counted_in_its_written_row(self, tmp_path, capsys):
+        # The edges are 0.2, 0.5 and 0.8, so the loss 0.5 opens the last row.
+        labels = (Label.NORMAL, Label.ATTACK, Label.ATTACK)
+        corpus = tmp_path / "c.txt"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            write_sequences([Sequence("10.0.0.1", "10.0.0.2", 0.0, (0,), label)
+                             for label in labels], Vocabulary(["a"]), fh)
+        scores = tmp_path / "s.csv"
+        scores.write_text("".join(
+            [SCORES_HEADER + "\n"] + [_score_row(i, Score(0.5, loss)) + "\n"
+                                      for i, loss in enumerate((0.2, 0.5, 0.8))]))
+        code, _, stderr = run(capsys, "eval", "--scores", str(scores),
+                              "--sequences", str(corpus), "--bins", "2",
+                              "--out-dir", str(tmp_path / "r"))
+        assert (code, stderr) == (0, "")
+        assert (tmp_path / "r" / "hist.csv").read_text().splitlines()[1:] == \
+            ["0.2,0.5,1,0", "0.5,0.8,0,2", "inf,inf,0,0"]
+
     def test_row_count_mismatch(self, pipeline, tmp_path, capsys):
         short = tmp_path / "short.csv"
         lines = (pipeline / "scores.csv").read_text().splitlines()[:11]
@@ -944,13 +962,16 @@ class TestExitCodes:
          "--limit", "2.0"],
         ["score", "--model", "{junk}", "--in", "{junk}", "--out", "{out}",
          "--limit", "2.0"],
+        ["score", "--model", "{junk}", "--in", "{junk}", "--out", "{out}",
+         "--limit", "0"],
         ["eval", "--scores", "{junk}", "--sequences", "{junk}", "--out-dir", "{out}",
          "--bins", "0"],
         ["prepare", "--in", "{blob}", "--out", "{out}", "--min-length", "0"],
     ], ids=["train-epsilon-garbage", "train-epsilon-missing",
             "prepare-bucket-width-binary", "words-tau-bad-list",
             "synth-negative-n", "score-limit-missing-model",
-            "score-limit-junk-model", "eval-bins-junk", "prepare-min-length-blob"])
+            "score-limit-junk-model", "score-limit-zero-junk-model", "eval-bins-junk",
+            "prepare-min-length-blob"])
     def test_double_fault(self, tmp_path, capsys, argv):
         files = {"junk": tmp_path / "junk.txt", "blob": tmp_path / "blob.bin",
                  "bad_words": tmp_path / "words.txt",

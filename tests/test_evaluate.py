@@ -210,15 +210,40 @@ class TestHistogram:
             histogram([], n_bins=0)
 
     @pytest.mark.parametrize("scores, counts", [
-        ((5e-324, 1e-323), (1, 0, 0, 1)),
+        ((5e-324, 1e-323), (0, 1, 0, 1)),
         ((-1.7e308, 1.7e308), (1, 0, 0, 1)),
-        ((2.0 ** 53, 2.0 ** 53), (2, 0, 0, 0)),
+        ((2.0 ** 53, 2.0 ** 53), (0, 0, 0, 2)),
     ], ids=["subnormal-span", "overflowing-span", "unwidenable-value"])
     def test_extreme_spans(self, scores, counts):
         h = histogram([ex(i, s, Label.NORMAL) for i, s in enumerate(scores)], n_bins=4)
         assert h.normal_counts == counts
         assert h.edges[0] == min(scores)
         assert all(a <= b for a, b in zip(h.edges, h.edges[1:]))
+
+    def test_score_on_an_edge_is_counted_in_the_row_it_opens(self):
+        # Edges 0.2, 0.5, 0.8: 0.5 opens the last row [0.5, 0.8].
+        h = histogram([ex(i, s) for i, s in enumerate((0.2, 0.5, 0.8))], n_bins=2)
+        assert h.edges == (0.2, 0.5, 0.8)
+        assert h.normal_counts == (1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-10, 10).map(lambda x: round(x, 1)),
+        st.sampled_from([0.0, 5e-324, 1e-323, 2.0 ** 53, -1.7e308, 1.7e308])),
+        min_size=1, max_size=40), st.integers(1, 30))
+    def test_every_score_lies_in_its_written_row(self, scores, n_bins):
+        # Labels do not move edges, so the one attack in each histogram shows
+        # the row its score is counted in: [lo, hi), or [lo, hi] for the last.
+        edges = histogram([ex(i, s) for i, s in enumerate(scores)], n_bins).edges
+        assert all(a <= b for a, b in zip(edges, edges[1:]))
+        for k, score in enumerate(scores):
+            h = histogram([ex(i, s, Label.ATTACK if i == k else Label.NORMAL)
+                           for i, s in enumerate(scores)], n_bins)
+            assert h.edges == edges
+            row = h.attack_counts.index(1)
+            lo, hi = edges[row], edges[row + 1]
+            assert lo <= score < hi or row == n_bins - 1 and lo <= score <= hi
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
@@ -304,6 +329,12 @@ class TestEvaluate:
         assert len(report.histogram.normal_counts) == 10
         assert report.roc[0] == RocPoint(0.0, 0.0, math.inf)
         assert 0.0 <= report.auc <= 1.0
+
+    def test_precision_at_the_example_count(self):
+        # 120 labeled examples are evaluated; 121 is past them and skipped.
+        report = evaluate(self.triples(), precision_ns=(119, 120, 121))
+        assert sorted(report.precision_at) == [119, 120]
+        assert report.precision_at[120] == 24 / 120
 
     def test_zero_policy_changes_example_count(self):
         kept = evaluate(self.triples(), policy="zero_most_anomalous")

@@ -131,13 +131,23 @@ class TestFlowRecord:
         {"ts": 10**400},
         {"duration": False},
         {"duration": "0.5"},
+        {"protocol": "tcp,x"},
+        {"protocol": "TCP"},
+        {"protocol": 5},
+        {"protocol": ""},
+        {"protocol": "tcp\n"},
+        {"label": "normal"},
+        {"label": None},
     ], ids=["ip-int", "ip-bytes", "ip-object", "port-float", "port-bool", "port-str",
             "bytes-float", "bytes-bool", "pkts-str", "pkts-float", "ts-bool", "ts-str",
-            "ts-huge-int", "duration-bool", "duration-str"])
+            "ts-huge-int", "duration-bool", "duration-str", "protocol-comma",
+            "protocol-upper", "protocol-int", "protocol-empty", "protocol-newline",
+            "label-str", "label-none"])
     def test_rejects_wrong_types(self, kwargs):
-        # An address must be text, a port or count an int and a ts or
-        # duration a number (not a bool): write_labeled_csv writes any other
-        # value as text no parser reads back as that value.
+        # An address must be text, a port or count an int, a ts or duration
+        # a number (not a bool), a protocol a name normalize_protocol keeps
+        # and a label a Label: write_labeled_csv writes any other value as
+        # text no parser reads back as that value.
         base = dict(ts=1.0, src_ip="10.0.0.1", src_port=1, dst_ip="10.0.0.2",
                     dst_port=2, protocol="tcp")
         base.update(kwargs)
@@ -408,6 +418,24 @@ def zeek_text(cells):
 
 def csv_text(cells):
     return [",".join(CSV_HEADER) + "\n", ",".join(cells) + "\n"]
+
+
+class TestNumberGrammar:
+    # A count is ASCII digits, and a ts or duration ASCII text without "_";
+    # int() and float() read most of these cells.
+    @pytest.mark.parametrize("index, text", [
+        (2, "8_0"), (4, "+443"), (6, "1_000"), (7, "\u0663"), (8, "-1"), (9, "1.0"),
+        (0, "1_0.5"), (0, "\u0661.5"), (10, "\u0661.5"), (10, "0_1"),
+    ])
+    def test_both_parsers_reject(self, index, text):
+        cells = csv_line(FlowRecord(ts=10.5, src_ip="10.0.0.1", src_port=80,
+                                    dst_ip="10.0.0.2", dst_port=443, protocol="tcp",
+                                    orig_bytes=1000, duration=1.5)).split(",")
+        for parse, lines in ((parse_zeek_conn, zeek_text), (parse_labeled_csv, csv_text)):
+            assert parse(lines(cells))[1].rows_rejected == 0
+            edited = cells[:index] + [text] + cells[index + 1:]
+            records, stats = parse(lines(edited))
+            assert (records, stats.rows_read, stats.rows_rejected) == ([], 1, 1)
 
 
 class TestParsersAgree:

@@ -48,6 +48,9 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TokenScheme(bucket_width=0)
 
+    def test_bucket_width_one_is_accepted(self):
+        assert TokenScheme(kind="proto-density", bucket_width=1).bucket_width == 1
+
     def test_policy_validation(self):
         SessionPolicy(kind="gap", gap_seconds=60.0)
         with pytest.raises(ValueError):

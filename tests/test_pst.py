@@ -74,6 +74,11 @@ class TestParams:
         with pytest.raises(ValueError):
             PstParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"p_min": 1.0}, {"threshold": 1.0}],
+                             ids=["p-min-one", "threshold-one"])
+    def test_closed_ends_are_accepted(self, kwargs):
+        PstParams(**kwargs)
+
     def test_numbers_are_stored_as_floats(self):
         # Equal params must save as equal bytes.
         p = PstParams(depth=2, p_min=0, threshold=0, tau=10, epsilon=0)
@@ -330,6 +335,14 @@ class TestBuildTree:
         assert contexts == expected
         assert (A,) in contexts and (B,) in contexts
         assert (A, B) not in contexts and (B, A) not in contexts
+
+    def test_ratio_of_exactly_one_over_tau_is_kept(self):
+        # After b come a, a, b, a: P(b | b) = 1/4 against the root's 3/6 is a
+        # ratio of exactly 1/tau (P(a | b) = 3/4 is 3/2, inside the band), so
+        # only the closed "smaller" end of the retention test keeps (B,).
+        params = PstParams(depth=1, p_min=0.0, threshold=0.0, tau=2.0)
+        pst = train([[B, A, B, A, B], [B, B, A]], params, vocab_size=2)
+        assert {node.context for node in pst.iter_nodes()} == {(), (A,), (B,)}
 
     def test_paper_default_gate_prunes_alternating_corpus(self):
         # With threshold=0.0005 the zero conditionals are gated out before
@@ -838,6 +851,10 @@ class TestFlagAnomalies:
 
     def test_empty_input(self):
         assert flag_anomalies([], limit=0.5) == ([], [])
+
+    def test_likelihood_at_the_limit_is_not_flagged(self):
+        scores = [("a", self.fake(0.25)), ("b", self.fake(0.5))]
+        assert flag_anomalies(scores, limit=0.5) == (["a"], [])
 
     def test_orders_by_likelihood_then_id(self):
         scores = [("z", self.fake(1e-9)), ("y", self.fake(1e-9)),
