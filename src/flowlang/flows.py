@@ -140,8 +140,9 @@ class IngestStats:
         return self.rows_read - self.rows_rejected
 
 
-# int() and float() also read "+443", "1_000" and non-ASCII digits such as
-# "\u0663"; a count is ASCII digits only, a ts or duration ASCII without "_".
+# int() and float() also read "+443", "1_000", non-ASCII digits such as
+# "\u0663" and text inside whitespace; a count is ASCII digits only, a ts
+# or duration ASCII without "_" or surrounding whitespace.
 def _parse_count(text: str) -> int:
     if text.isdigit() and text.isascii():
         return int(text)
@@ -151,7 +152,7 @@ def _parse_count(text: str) -> int:
 
 
 def _parse_real(text: str) -> float:
-    if not text.isascii() or "_" in text:
+    if not text.isascii() or "_" in text or text.strip() != text:
         raise ValueError(f"bad number: {text!r}")
     return float(text)
 

@@ -360,13 +360,14 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     """Construct a PST from count tables.
 
     Candidates are observed contexts with frequency >= p_min. A candidate
-    is retained when some symbol has conditional probability >= threshold
-    AND that conditional differs from the suffix context's by a factor
-    >= tau in either direction (a zero suffix conditional with a positive
-    numerator counts as an infinite ratio). Retained contexts are closed
-    under suffixes. The root always exists and holds the order-0
-    (marginal) distribution. The counts must cover depth symbols, be
-    gated at no more than p_min, and hold only ids of vocab.
+    is retained when, for some symbol its suffix is followed by, its
+    conditional is >= threshold AND differs from the suffix's by a factor
+    >= tau in either direction. Retained contexts are closed under
+    suffixes. The root always exists and holds the order-0 (marginal)
+    distribution. The counts must cover depth symbols, be gated at no
+    more than p_min, and hold only ids of vocab. As every counted table
+    does, they must count a context's suffix followed by each symbol the
+    context is followed by; a table that does not raises ValueError.
     """
     if counts.max_len < params.depth:
         raise ValueError(
@@ -384,17 +385,11 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     thr_n, thr_d = params.threshold.as_integer_ratio()
     tau_n, tau_d = params.tau.as_integer_ratio()
     occurrences = counts.occurrences
-    # Successor rows of the candidates: each entry one symbol longer than
-    # a candidate is a successor count of it. A candidate's suffix is at
-    # least as frequent, so its row exists too; () collects the unigrams.
+    # Successor rows: each entry counts its prefix followed by its last
+    # symbol. () gets the unigrams less the starts, each count positive.
     rows: dict[tuple[int, ...], dict[int, int]] = {(): {}}
     for ctx, occ in occurrences.items():
-        if len(ctx) <= params.depth and occ >= min_count:
-            rows[ctx] = {}
-    for ctx, occ in occurrences.items():
-        row = rows.get(ctx[:-1])
-        if row is not None:
-            row[ctx[-1]] = occ
+        rows.setdefault(ctx[:-1], {})[ctx[-1]] = occ
     unigrams = rows[()]
     starts = counts.starts
     rows[()] = {sym: c - starts.get(sym, 0) for sym, c in unigrams.items()
@@ -402,28 +397,31 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
 
     kept: set[tuple[int, ...]] = set()
     for ctx, ctx_follows in rows.items():
-        if not (ctx and ctx_follows):
+        if not ctx:
             continue
-        suffix_follows = rows[ctx[1:]]
+        suffix_follows = rows.get(ctx[1:], {})
+        occ = occurrences.get(ctx)
+        if occ is None or not ctx_follows.keys() <= suffix_follows.keys():
+            raise ValueError(f"count table breaks the suffix rule at context {list(ctx)}")
+        if len(ctx) > params.depth or occ < min_count:
+            continue
         denom_p = sum(ctx_follows.values())
         denom_q = sum(suffix_follows.values())
-        for sym in set(ctx_follows) | set(suffix_follows):
+        for sym, cq in suffix_follows.items():
             cp = ctx_follows.get(sym, 0)
             # threshold gate: cp/denom_p >= threshold
             if cp * thr_d < thr_n * denom_p:
                 continue
-            cq = suffix_follows.get(sym, 0)
-            if cp == 0 and cq == 0:
-                continue
-            # ratio (cp/denom_p)/(cq/denom_q) vs tau, cq == 0 -> +inf
+            # ratio (cp/denom_p)/(cq/denom_q) vs tau
             lhs = cp * denom_q
             rhs = cq * denom_p
-            if cq == 0 or lhs * tau_d >= tau_n * rhs or lhs * tau_n <= rhs * tau_d:
+            if lhs * tau_d >= tau_n * rhs or lhs * tau_n <= rhs * tau_d:
                 kept.add(ctx)
                 break
 
     closed = {ctx[k:] for ctx in kept for k in range(len(ctx))}
     dists = {ctx: _conditional(rows[ctx]) for ctx in closed}
+    del rows  # each keyed by a new prefix tuple: free them before make_tree
     # With no training data the root is uniform over the vocabulary.
     m = len(vocab)
     dists[()] = _conditional(unigrams) if total else {sym: 1.0 / m for sym in range(m)}

@@ -437,6 +437,20 @@ class TestNumberGrammar:
             records, stats = parse(lines(edited))
             assert (records, stats.rows_read, stats.rows_rejected) == ([], 1, 1)
 
+    # Zeek cells are read as written; the labeled CSV strips each cell first.
+    @pytest.mark.parametrize("index, text", [
+        (0, " 1.5 "), (0, "1.5\x0b"), (0, "\x0c0.5"), (0, "\x1c1.5"),
+        (10, "0.5 "), (10, "\x1f0.5"), (2, " 80"), (7, "0\x0b"),
+    ])
+    def test_zeek_rejects_whitespace_around_numbers(self, index, text):
+        cells = csv_line(FlowRecord(ts=10.5, src_ip="10.0.0.1", src_port=80,
+                                    dst_ip="10.0.0.2", dst_port=443, protocol="tcp",
+                                    orig_bytes=1000, duration=1.5)).split(",")
+        edited = cells[:index] + [text] + cells[index + 1:]
+        records, stats = parse_zeek_conn(zeek_text(edited))
+        assert (records, stats.rows_read, stats.rows_rejected) == ([], 1, 1)
+        assert parse_labeled_csv(csv_text(edited))[1].rows_rejected == 0
+
 
 class TestParsersAgree:
     @settings(max_examples=300)

@@ -6,7 +6,8 @@ lines the README shows and the sha256 of every file they write. One more
 `train --p-min 0 --depth 5` pins the exhaustive count: with p_min 0
 every context is frequent, so counting keeps every substring. Scoring
 the corpus with that model pins the scorer on a second tree shape, with
-more and shallower contexts. `eval`
+more and shallower contexts. A `train --threshold 0` pins the retention
+test where a symbol the context is never followed by can keep it. `eval`
 runs under both rankings, logloss and likelihood. `prepare`
 runs on the labeled CSV and the Zeek log the CLI tests use, and on the
 CSV under day and gap sessions too, and on a CSV and a Zeek log holding
@@ -83,6 +84,10 @@ def test_readme_quickstart_and_words(tmp_path, capsys):
     out = run("train", "--in", corpus, "--out", tmp_path / "model-p0-d5.json",
               "--p-min", 0, "--depth", 5, "--no-timestamp")
     assert out == ["nodes: 1165", "depth: 5", "vocabulary: 8 tokens",
+                   "trained on 2000 sequences, 100720 tokens"]
+    out = run("train", "--in", corpus, "--out", tmp_path / "model-t0.json",
+              "--threshold", 0, "--no-timestamp")
+    assert out == ["nodes: 3231", "depth: 14", "vocabulary: 8 tokens",
                    "trained on 2000 sequences, 100720 tokens"]
     out = run("score", "--model", model, "--in", corpus, "--out", scores,
               "--limit", "1e-30")

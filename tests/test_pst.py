@@ -344,6 +344,30 @@ class TestBuildTree:
         pst = train([[B, A, B, A, B], [B, B, A]], params, vocab_size=2)
         assert {node.context for node in pst.iter_nodes()} == {(), (A,), (B,)}
 
+    def test_symbol_that_only_starts_sequences_is_no_successor(self):
+        # 2 only begins sequences, so the root is never followed by it and
+        # (2,)'s conditionals, 1/2 each, equal the root's. A zero count for
+        # 2 in the root's row would keep (2,): with threshold 0 every
+        # symbol of the suffix's row takes the ratio test, and 0 against 0
+        # passes it.
+        params = PstParams(depth=2, threshold=0.0)
+        pst = train([[2, A, B, A, B], [2, B, A, B, A]], params, vocab_size=3)
+        assert {node.context for node in pst.iter_nodes()} == {(), (A,), (B,)}
+
+    @pytest.mark.parametrize("occurrences", [
+        # (0, 1) is followed by 2, but (1,) only by 0.
+        {(0,): 2, (1,): 1, (2,): 1, (0, 1): 1, (1, 0): 1, (0, 1, 2): 1},
+        # (0, 1) is followed by 2 but never counted itself.
+        {(0,): 2, (1,): 1, (2,): 1, (1, 0): 1, (1, 2): 1, (0, 1, 2): 1},
+    ], ids=["suffix-never-followed", "context-not-counted"])
+    def test_table_breaking_the_suffix_rule_rejected(self, occurrences):
+        # No counted table holds either; each used to build a tree.
+        table = ContextCounts(max_len=2, total_positions=4, n_sequences=1,
+                              starts={0: 1}, occurrences=occurrences)
+        with pytest.raises(ValueError, match="suffix rule"):
+            build_tree(table, PstParams(depth=2, p_min=0.0, threshold=0.0),
+                       helpers.small_vocab(3))
+
     def test_paper_default_gate_prunes_alternating_corpus(self):
         # With threshold=0.0005 the zero conditionals are gated out before
         # the ratio test, and the 1.0-vs-0.6 ratio is inside the band.

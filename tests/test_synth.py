@@ -13,6 +13,7 @@ from flowlang.synth import (
     GenConfig,
     MarkovSpec,
     SplitMix64,
+    _sample,
     corpus_to_sequences,
     demo_spec_pair,
     exact_likelihood,
@@ -125,6 +126,24 @@ class TestMarkovSpec:
     def test_rejects_empty_alphabet(self):
         with pytest.raises(ValueError, match="alphabet_size"):
             MarkovSpec(order=0, alphabet_size=0, transitions={}, initial={})
+
+
+class TestSample:
+    class Top:
+        """A generator whose every draw is the largest next_float returns."""
+
+        def next_float(self):
+            return 1 - 2 ** -53
+
+    @pytest.mark.parametrize("row", [(0.1,) * 10, (0.1,) * 10 + (0.0,)])
+    def test_draw_past_the_rounded_sum_takes_the_last_positive_value(self, row):
+        # MarkovSpec accepts the row, since its fsum is exactly 1, yet the
+        # running sum of ten 0.1s ends at 0.9999999999999999, the draw
+        # itself, so no value's cumulative sum exceeds the draw.
+        MarkovSpec(order=0, alphabet_size=len(row), transitions={(): row},
+                   initial={(): 1.0})
+        assert sum(row) == self.Top().next_float()
+        assert _sample(self.Top(), list(enumerate(row))) == 9
 
 
 class TestGenConfig:
