@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError, FormatError
-from .evaluate import DEFAULT_PRECISION_NS, RANKINGS, EvalReport, evaluate
+from .evaluate import DEFAULT_PRECISION_NS, RANKINGS, ZERO_POLICIES, EvalReport, evaluate
 from .flows import Label, parse_labeled_csv, parse_zeek_conn, sniff_format
 from .language import (
     SCHEME_KINDS,
@@ -44,9 +44,6 @@ from .pst import (
 from .synth import GenConfig, corpus_to_sequences, demo_spec_pair, generate_corpus
 
 SCORES_HEADER = "id,likelihood,per_symbol_log_loss,zero_likelihood"
-
-# --zero-policy choice -> evaluate's policy name.
-_ZERO_POLICIES = {"exclude": "exclude_zero", "most-anomalous": "zero_most_anomalous"}
 
 
 def _now_utc() -> str:
@@ -143,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sequences", required=True)
     sp.add_argument("--out-dir", dest="out_dir", required=True)
     sp.add_argument("--rank", choices=RANKINGS, default="logloss")
-    sp.add_argument("--zero-policy", choices=tuple(_ZERO_POLICIES), default="exclude")
+    sp.add_argument("--zero-policy", choices=ZERO_POLICIES, default="exclude")
     sp.add_argument("--bins", type=int, default=20)
     sp.add_argument("--precision-at", type=_precision_list, default=DEFAULT_PRECISION_NS,
                     metavar="N[,N...]")
@@ -296,7 +293,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                for i, (score, seq) in enumerate(zip(rows, seqs))]
 
     report = evaluate(
-        triples, policy=_ZERO_POLICIES[args.zero_policy], rank=args.rank,
+        triples, policy=args.zero_policy, rank=args.rank,
         n_bins=args.bins, precision_ns=args.precision_at)
 
     out_dir = Path(args.out_dir)

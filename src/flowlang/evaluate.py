@@ -18,7 +18,7 @@ from .errors import DataError
 from .flows import Label
 from .pst import Score
 
-ZERO_POLICIES = ("exclude_zero", "zero_most_anomalous")
+ZERO_POLICIES = ("exclude", "most-anomalous")
 RANKINGS = ("logloss", "likelihood")
 DEFAULT_PRECISION_NS = (10, 50, 100)
 
@@ -46,7 +46,7 @@ class RocPoint:
 @dataclass(frozen=True)
 class Histogram:
     """Equal-width bins over finite scores; non-finite scores (the
-    zero_most_anomalous policy emits +inf) land in the overflow pair."""
+    most-anomalous zero policy emits +inf) land in the overflow pair."""
 
     edges: tuple[float, ...]
     normal_counts: tuple[int, ...]
@@ -68,14 +68,14 @@ class EvalReport:
 
 def make_scored(
     scores: Iterable[tuple[str, Score, Label]],
-    policy: str = "exclude_zero",
+    policy: str = "exclude",
     rank: str = "logloss",
 ) -> list[ScoredExample]:
     """Turn (id, Score, label) triples into ranked, binary-labeled examples.
 
     Unlabeled entries are always dropped. Zero-likelihood entries are
-    dropped under exclude_zero, or given a +inf anomaly score (strictly
-    above every finite score) under zero_most_anomalous. rank selects the
+    dropped under exclude, or given a +inf anomaly score (strictly above
+    every finite score) under most-anomalous. rank selects the
     score orientation: per-symbol log loss (default) or negated raw
     likelihood.
     """
@@ -88,7 +88,7 @@ def make_scored(
         if label is Label.UNLABELED:
             continue
         if score.zero_likelihood:
-            if policy == "exclude_zero":
+            if policy == "exclude":
                 continue
             value = math.inf
         elif rank == "logloss":
@@ -184,7 +184,7 @@ def histogram(examples: list[ScoredExample], n_bins: int) -> Histogram:
 
 def evaluate(
     scores: Iterable[tuple[str, Score, Label]],
-    policy: str = "exclude_zero",
+    policy: str = "exclude",
     rank: str = "logloss",
     n_bins: int = 20,
     precision_ns: Iterable[int] = DEFAULT_PRECISION_NS,

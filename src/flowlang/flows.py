@@ -112,13 +112,14 @@ class FlowRecord:
                 continue
             # Valid IPv4 text matched _IPV4, so this is IPv6 or invalid. One
             # IPv6 host has many spellings; keep the canonical one so it forms
-            # one endpoint. Only a zone id can hold whitespace, which splits a row.
+            # one endpoint. Only a zone id can hold whitespace, which splits a
+            # Zeek row, or a comma, which splits a CSV row.
             try:
                 canonical = str(ipaddress.IPv6Address(text))
             except ValueError as exc:
                 raise ValueError(f"invalid {name}: {text!r}") from exc
-            if any(map(str.isspace, canonical)):
-                raise ValueError(f"whitespace in {name}: {text!r}")
+            if "," in canonical or any(map(str.isspace, canonical)):
+                raise ValueError(f"separator in {name}: {text!r}")
             object.__setattr__(self, name, canonical)
 
 

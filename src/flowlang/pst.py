@@ -365,9 +365,10 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     >= tau in either direction. Retained contexts are closed under
     suffixes. The root always exists and holds the order-0 (marginal)
     distribution. The counts must cover depth symbols, be gated at no
-    more than p_min, and hold only ids of vocab. As every counted table
-    does, they must count a context's suffix followed by each symbol the
-    context is followed by; a table that does not raises ValueError.
+    more than p_min, and hold only ids of vocab, each context non-empty
+    and each count an int >= 1. As every counted table does, they must
+    count a context's suffix followed by each symbol the context is
+    followed by; a table that does not raises ValueError.
     """
     if counts.max_len < params.depth:
         raise ValueError(
@@ -389,6 +390,8 @@ def build_tree(counts: ContextCounts, params: PstParams, vocab: Vocabulary) -> P
     # symbol. () gets the unigrams less the starts, each count positive.
     rows: dict[tuple[int, ...], dict[int, int]] = {(): {}}
     for ctx, occ in occurrences.items():
+        if not ctx or type(occ) is not int or occ < 1:
+            raise ValueError(f"bad count table entry: {ctx!r}: {occ!r}")
         rows.setdefault(ctx[:-1], {})[ctx[-1]] = occ
     unigrams = rows[()]
     starts = counts.starts

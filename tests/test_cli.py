@@ -889,6 +889,22 @@ def test_import_leaves_out_modules_no_stage_start_needs():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+@pytest.mark.parametrize("module, left_out", [
+    ("flowlang", {"cli", "errors", "evaluate", "flows", "language", "pst", "synth"}),
+    ("flowlang.synth", {"cli", "evaluate", "pst"})], ids=["flowlang", "flowlang.synth"])
+def test_import_loads_no_module_it_does_not_use(module, left_out):
+    # The package re-exports nothing, so importing it loads no submodule,
+    # and importing one module loads only the modules it imports itself.
+    code = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(flowlang.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    assert not loaded & {f"flowlang.{name}" for name in left_out}
+
+
 def _output_bytes(path):
     if path.is_dir():
         return {p.name: p.read_bytes() for p in sorted(path.iterdir())}

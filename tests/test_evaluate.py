@@ -42,13 +42,13 @@ class TestMakeScored:
     def test_exclude_zero_drops_zero_rows(self):
         triples = [("s1", ok_score(2.0), Label.NORMAL),
                    ("s2", ZERO, Label.ATTACK)]
-        examples = make_scored(triples, policy="exclude_zero")
+        examples = make_scored(triples, policy="exclude")
         assert [e.id for e in examples] == ["s1"]
 
     def test_zero_most_anomalous_ranks_zero_on_top(self):
         triples = [("s1", ok_score(2.0), Label.NORMAL),
                    ("s2", ZERO, Label.ATTACK)]
-        examples = make_scored(triples, policy="zero_most_anomalous")
+        examples = make_scored(triples, policy="most-anomalous")
         by_id = {e.id: e for e in examples}
         assert by_id["s2"].anomaly_score == math.inf
         assert by_id["s2"].anomaly_score > by_id["s1"].anomaly_score
@@ -56,7 +56,7 @@ class TestMakeScored:
     def test_unlabeled_always_dropped(self):
         triples = [("s1", ok_score(1.0), Label.UNLABELED),
                    ("s2", ok_score(1.0), Label.NORMAL)]
-        for policy in ("exclude_zero", "zero_most_anomalous"):
+        for policy in ("exclude", "most-anomalous"):
             examples = make_scored(triples, policy=policy)
             assert [e.id for e in examples] == ["s2"]
 
@@ -69,6 +69,12 @@ class TestMakeScored:
     def test_rank_by_logloss_is_default(self):
         examples = make_scored([("s1", ok_score(2.0), Label.NORMAL)])
         assert examples[0].anomaly_score == 2.0
+
+    @pytest.mark.parametrize("policy", ["exclude_zero", "zero_most_anomalous"])
+    def test_policy_has_one_spelling(self, policy):
+        # The names eval's --zero-policy takes are the only names.
+        with pytest.raises(ValueError, match="unknown zero policy"):
+            make_scored([], policy=policy)
 
     def test_unknown_policy_or_rank(self):
         with pytest.raises(ValueError):
@@ -320,7 +326,7 @@ class TestEvaluate:
         return out
 
     def test_report_counts(self):
-        report = evaluate(self.triples(), policy="exclude_zero", n_bins=10,
+        report = evaluate(self.triples(), policy="exclude", n_bins=10,
                           precision_ns=(5, 10, 500))
         assert report.n_attack == 24
         assert report.n_normal == 96
@@ -337,8 +343,8 @@ class TestEvaluate:
         assert report.precision_at[120] == 24 / 120
 
     def test_zero_policy_changes_example_count(self):
-        kept = evaluate(self.triples(), policy="zero_most_anomalous")
-        dropped = evaluate(self.triples(), policy="exclude_zero")
+        kept = evaluate(self.triples(), policy="most-anomalous")
+        dropped = evaluate(self.triples(), policy="exclude")
         assert kept.n_attack == dropped.n_attack + 1
         assert kept.n_zero_likelihood == dropped.n_zero_likelihood == 1
         assert kept.histogram.overflow_attack == 1

@@ -6,7 +6,7 @@ import ipaddress
 import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowlang.errors import FormatError
@@ -77,12 +77,12 @@ def stored_ip(text):
 
 def canonical_ip(text):
     """str(ipaddress.ip_address(text)), or None where ipaddress refuses text
-    or its canonical form holds whitespace (only a zone id can)."""
+    or its canonical form holds whitespace or a comma (only a zone id can)."""
     try:
         canonical = str(ipaddress.ip_address(text))
     except ValueError:
         return None
-    return None if any(map(str.isspace, canonical)) else canonical
+    return None if "," in canonical or any(map(str.isspace, canonical)) else canonical
 
 
 # Address characters, with one non-ASCII digit (Arabic-Indic three).
@@ -181,7 +181,7 @@ class TestFlowRecord:
 
     @pytest.mark.parametrize("text", [
         "::ffff:1.2.3.4", "1.2.3.4%eth0", "fe80::1%eth0", "FE80::1%eth0",
-        "fe80::1%eth 0", "1.2.3.4 ", "1.2.3.4.5", "1.2.3", "\u0661.2.3.4"])
+        "fe80::1%eth 0", "fe80::1%a,b", "1.2.3.4 ", "1.2.3.4.5", "1.2.3", "\u0661.2.3.4"])
     def test_ip_check_is_exact_on_other_text(self, text):
         assert stored_ip(text) == canonical_ip(text)
 
@@ -235,6 +235,14 @@ class TestParseZeek:
     def test_bad_ip_rejected(self):
         records, stats = parse_zeek_conn(
             ZEEK_HEADER + [zeek_row(orig="nonsense"), zeek_row()])
+        assert len(records) == 1
+        assert stats.rows_read == 2
+        assert stats.rows_rejected == 1
+
+    def test_comma_in_zone_id_rejected(self):
+        # Such a record would be written as a CSV row of 13 cells.
+        records, stats = parse_zeek_conn(
+            ZEEK_HEADER + [zeek_row(orig="fe80::1%a,b"), zeek_row()])
         assert len(records) == 1
         assert stats.rows_read == 2
         assert stats.rows_rejected == 1
@@ -389,6 +397,7 @@ class TestRecordsRoundTrip:
     @given(flow_records, st.sampled_from(["ts", "src_ip", "dst_ip", "src_port", "dst_port",
                                           "orig_bytes", "resp_bytes", "orig_pkts",
                                           "resp_pkts", "duration"]), any_field_value)
+    @example(FlowRecord(1.0, "10.0.0.1", 1, "10.0.0.2", 2, "tcp"), "src_ip", "fe80::1%a,b")
     def test_every_record_built_reads_back(self, flow, name, value):
         # A record FlowRecord builds, whatever the type of one field, is
         # written by write_labeled_csv as a row parse_labeled_csv reads back

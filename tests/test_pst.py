@@ -368,6 +368,18 @@ class TestBuildTree:
             build_tree(table, PstParams(depth=2, p_min=0.0, threshold=0.0),
                        helpers.small_vocab(3))
 
+    @pytest.mark.parametrize("key, occ", [
+        ((0, 0), -1), ((0, 0), 0), ((0, 0), 2.5), ((0, 0), True), ((), 2)],
+        ids=["negative", "zero", "float", "bool", "empty-key"])
+    def test_bad_table_entry_rejected(self, key, occ):
+        # count_contexts never writes such an entry; unchecked, each builds
+        # a tree or escapes as ZeroDivisionError or IndexError.
+        table = ContextCounts(max_len=1, total_positions=2, n_sequences=1,
+                              starts={0: 1}, occurrences={(0,): 2, key: occ})
+        with pytest.raises(ValueError, match="bad count table entry"):
+            build_tree(table, PstParams(depth=1, p_min=0.0, threshold=0.0),
+                       helpers.small_vocab(1))
+
     def test_paper_default_gate_prunes_alternating_corpus(self):
         # With threshold=0.0005 the zero conditionals are gated out before
         # the ratio test, and the 1.0-vs-0.6 ratio is inside the band.
