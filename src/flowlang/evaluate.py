@@ -34,6 +34,9 @@ class ScoredExample:
         # every rank statistic into a plausible but wrong number.
         if math.isnan(self.anomaly_score):
             raise ValueError(f"NaN anomaly score for {self.id!r}")
+        # The counts test for ATTACK alone, so any other label would pass as normal.
+        if self.label is not Label.ATTACK and self.label is not Label.NORMAL:
+            raise ValueError(f"label of {self.id!r} is neither attack nor normal: {self.label!r}")
 
 
 @dataclass(frozen=True, slots=True)

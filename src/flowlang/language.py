@@ -38,8 +38,8 @@ class TokenScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind: {self.kind!r}")
-        if self.bucket_width < 1:
-            raise ValueError(f"bucket_width must be >= 1, got {self.bucket_width}")
+        if type(self.bucket_width) is not int or self.bucket_width < 1:
+            raise ValueError(f"bucket_width must be an int >= 1, got {self.bucket_width!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class SessionPolicy:
     def __post_init__(self):
         if self.kind not in SESSION_KINDS:
             raise ValueError(f"unknown session kind: {self.kind!r}")
-        if not (math.isfinite(self.gap_seconds) and self.gap_seconds > 0):
+        if type(self.gap_seconds) not in (int, float) or not (
+                math.isfinite(self.gap_seconds) and self.gap_seconds > 0):
             raise ValueError(f"gap_seconds must be positive, got {self.gap_seconds!r}")
 
 
@@ -127,6 +128,8 @@ class Sequence:
         for ip in (self.ip_low, self.ip_high):
             if any(map(str.isspace, ip)):
                 raise ValueError(f"whitespace in endpoint: {ip!r}")
+        if type(self.label) is not Label:
+            raise ValueError(f"bad label: {self.label!r}")
 
 
 def log2_bin(value: int) -> int | str:
@@ -273,17 +276,24 @@ def write_sequences(
     n id<TAB>token lines, then one line per sequence:
     label<TAB>ip_low<TAB>ip_high<TAB>window_start<TAB>space-joined ids.
     Raises ValueError on a comment that str.splitlines would split, since
-    read_sequences would take its second line for data.
+    read_sequences would take its second line for data, and on a sequence
+    whose ids are not ints in 0..n-1, which it would refuse or misread.
     """
     if comment is not None:
         if comment and comment.splitlines() != [comment]:
             raise ValueError(f"comment must be one line: {comment!r}")
         sink.write(f"# {comment}\n")
     toks = vocab.tokens()
-    sink.write(_vocab_line(len(toks)) + "\n")
+    n = len(toks)
+    sink.write(_vocab_line(n) + "\n")
     for i, t in enumerate(toks):
         sink.write(_token_line(i, t) + "\n")
+    known = frozenset(range(n))
     for s in sequences:
+        ids = s.token_ids
+        # True and 1.0 equal the id 1, yet str() spells them "True" and "1.0".
+        if not known.issuperset(ids) or {*map(type, ids)} != {int}:
+            raise ValueError(f"token ids not in a vocabulary of {n}: {ids!r}")
         sink.write(_sequence_line(s) + "\n")
 
 

@@ -104,6 +104,9 @@ class GenConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_sequences", "length_min", "length_max", "seed"):
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_sequences < 0:
             raise ValueError(f"n_sequences must be >= 0, got {self.n_sequences}")
         if self.length_min < 1:
@@ -111,15 +114,15 @@ class GenConfig:
         if self.length_max < self.length_min:
             raise ValueError(
                 f"length_max {self.length_max} < length_min {self.length_min}")
-        if not 0.0 <= self.anomaly_fraction <= 1.0:
+        if type(self.anomaly_fraction) not in (int, float) or not 0 <= self.anomaly_fraction <= 1:
             raise ValueError(
-                f"anomaly_fraction must be in [0, 1], got {self.anomaly_fraction}")
+                f"anomaly_fraction must be in [0, 1], got {self.anomaly_fraction!r}")
 
 
-def _sample(rng: SplitMix64, items: list[tuple[Any, float]]) -> Any:
+def _sample(rng: SplitMix64, items: Iterable[tuple[Any, float]]) -> Any:
     """Draw a value from (value, probability) pairs by cumulative scan."""
     u = rng.next_float()
-    acc = 0.0
+    acc = 0.0  # summed p by p, not by sum(), which Python 3.12 made compensated
     last_positive = None
     for value, p in items:
         if p <= 0.0:
@@ -154,21 +157,19 @@ def generate_corpus(
             f"length_min {cfg.length_min} shorter than source order {max_order}")
 
     master = SplitMix64(cfg.seed)
-    sub_seeds = [master.next_u64() for _ in range(cfg.n_sequences)]
-
     corpus: list[tuple[list[int], Label]] = []
-    for sub_seed in sub_seeds:
-        rng = SplitMix64(sub_seed)
+    for _ in range(cfg.n_sequences):
+        rng = SplitMix64(master.next_u64())
         is_attack = rng.next_float() < cfg.anomaly_fraction
         length = cfg.length_min + rng.next_below(cfg.length_max - cfg.length_min + 1)
         spec = anomaly if is_attack else background
         seq = list(_sample(rng, sorted(spec.initial.items())))
         while len(seq) < length:
-            ctx = tuple(seq[len(seq) - spec.order:]) if spec.order else ()
+            ctx = tuple(seq[len(seq) - spec.order:])
             row = spec.transitions.get(ctx)
             if row is None:
                 raise ValueError(f"spec has no transition row for context {ctx}")
-            seq.append(_sample(rng, list(enumerate(row))))
+            seq.append(_sample(rng, enumerate(row)))
         corpus.append((seq, Label.ATTACK if is_attack else Label.NORMAL))
     return corpus
 
@@ -236,16 +237,14 @@ def corpus_to_sequences(
     """Wrap raw labeled symbol lists as Sequence values.
 
     Tokens s0..s{m-1} are registered in symbol order, so token ids equal
-    symbols. Endpoint and window fields are synthetic placeholders (pair
-    "synth"/"synth", window = index).
+    symbols, and a symbol outside 0..m-1 is a ValueError. Endpoint and
+    window fields are placeholders (pair "synth"/"synth", window = index).
     """
-    vocab = Vocabulary()
-    ids = [vocab.add(symbol_token(s)) for s in range(alphabet_size)]
+    vocab = Vocabulary(map(symbol_token, range(alphabet_size)))
     sequences = []
     for i, (symbols, label) in enumerate(corpus):
-        token_ids = tuple(ids[s] for s in symbols)
-        sequences.append(Sequence(
-            ip_low="synth", ip_high="synth", window_start=float(i),
-            token_ids=token_ids, label=label,
-        ))
+        seq = Sequence("synth", "synth", float(i), tuple(symbols), label)
+        if not 0 <= min(seq.token_ids) <= max(seq.token_ids) < alphabet_size:
+            raise ValueError(f"sequence {i} has symbols outside the alphabet")
+        sequences.append(seq)
     return sequences, vocab

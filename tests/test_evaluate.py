@@ -361,6 +361,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="NaN"):
             ex(3, math.nan, Label.ATTACK)
 
+    @pytest.mark.parametrize("label", ["attack", "normal", None])
+    def test_label_that_is_no_label_is_refused(self, label):
+        # The counts test for Label.ATTACK alone, so with the string
+        # "attack" this corpus read as AUC 0.5, 1 attack and 2 normal.
+        triples = [("a", ok_score(1.0), Label.NORMAL), ("b", ok_score(3.0), label),
+                   ("c", ok_score(2.0), Label.ATTACK)]
+        with pytest.raises(ValueError, match="neither attack nor normal"):
+            evaluate(triples)
+
+    def test_unlabeled_example_is_refused(self):
+        # make_scored drops unlabeled entries; a caller building examples
+        # for roc_curve or histogram must not pass one as normal either.
+        with pytest.raises(ValueError, match="neither attack nor normal"):
+            ex(0, 1.0, Label.UNLABELED)
+
     def test_single_class_raises(self):
         triples = [("a", ok_score(1.0), Label.NORMAL),
                    ("b", ok_score(2.0), Label.NORMAL)]

@@ -12,8 +12,8 @@ runs under both rankings, logloss and likelihood. `prepare`
 runs on the labeled CSV and the Zeek log the CLI tests use, and on the
 CSV under day and gap sessions too, and on a CSV and a Zeek log holding
 every reject reason, which pin the rows the parsers drop. Python
-3.10, 3.11 and 3.12 write the same bytes, so a changed digest means the
-program's output changed, not the interpreter.
+3.10, 3.11, 3.12 and 3.13 write the same bytes, so a changed digest
+means the program's output changed, not the interpreter.
 """
 
 from __future__ import annotations

@@ -47,6 +47,10 @@ class TestConfigs:
             TokenScheme(kind="nope")
         with pytest.raises(ValueError):
             TokenScheme(bucket_width=0)
+        # A float width writes tokens like tcp_d10.0; a bool is no width.
+        for width in (2.5, 10.0, True, "10", None):
+            with pytest.raises(ValueError, match="bucket_width"):
+                TokenScheme(kind="proto-density", bucket_width=width)
 
     def test_bucket_width_one_is_accepted(self):
         assert TokenScheme(kind="proto-density", bucket_width=1).bucket_width == 1
@@ -59,6 +63,10 @@ class TestConfigs:
             SessionPolicy(kind="gap", gap_seconds=0.0)
         with pytest.raises(ValueError):
             SessionPolicy(kind="gap", gap_seconds=math.inf)
+        assert SessionPolicy(kind="gap", gap_seconds=60).gap_seconds == 60
+        for gap in (True, "5", None, math.nan):
+            with pytest.raises(ValueError, match="gap_seconds"):
+                SessionPolicy(kind="gap", gap_seconds=gap)
 
 
 class TestVocabulary:
@@ -120,6 +128,11 @@ class TestSequenceType:
                 Sequence(ip_low=ip, ip_high="z", window_start=0.0, token_ids=(0,))
             with pytest.raises(ValueError, match="whitespace in endpoint"):
                 Sequence(ip_low="", ip_high=ip, window_start=0.0, token_ids=(0,))
+        # write_sequences writes label.value, which only a Label has.
+        for label in ("attack", None, 1):
+            with pytest.raises(ValueError, match="bad label"):
+                Sequence(ip_low="a", ip_high="b", window_start=0.0, token_ids=(0,),
+                         label=label)
 
 
 class TestBucketing:
@@ -380,7 +393,7 @@ def sequence_rows(draw):
     any line. Blank and '#' lines are comments, not rows."""
     if draw(st.booleans()):
         buf = io.StringIO()
-        write_sequences([draw(any_sequence())], Vocabulary(), buf)
+        write_sequences([draw(any_sequence())], Vocabulary(f"t{i}" for i in range(12)), buf)
         row = buf.getvalue().splitlines()[-1]
         at = draw(st.integers(0, len(row)))
         edit = draw(st.sampled_from(["", *"0+-_. \t\rea\u0660"]))
@@ -505,6 +518,14 @@ class TestSequenceFile:
         with pytest.raises(ValueError, match="comment must be one line"):
             write_sequences([], Vocabulary(), buf, comment=comment)
         assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("ids", [(-1,), (2,), (5,), (0, 2), (True,), ("0",), (1.0,)])
+    def test_ids_outside_the_vocabulary_are_refused(self, ids):
+        # read_sequences refuses each of these rows, or (for "0") reads back
+        # a different Sequence; a bool is no id.
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="not in a vocabulary of 2"):
+            write_sequences([Sequence("a", "b", 0.0, ids)], Vocabulary(["t0", "t1"]), buf)
 
     @pytest.mark.parametrize("comment", ["", "generated 2024-01-01T00:00:00Z", "tab\there"])
     def test_one_line_comment_is_written(self, comment):

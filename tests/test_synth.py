@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import random
 
@@ -138,11 +140,13 @@ class TestSample:
     @pytest.mark.parametrize("row", [(0.1,) * 10, (0.1,) * 10 + (0.0,)])
     def test_draw_past_the_rounded_sum_takes_the_last_positive_value(self, row):
         # MarkovSpec accepts the row, since its fsum is exactly 1, yet the
-        # running sum of ten 0.1s ends at 0.9999999999999999, the draw
-        # itself, so no value's cumulative sum exceeds the draw.
+        # running sum of ten 0.1s, added in order as _sample adds them,
+        # ends at 0.9999999999999999, the draw itself, so no value's
+        # cumulative sum exceeds the draw. (sum() is compensated from
+        # Python 3.12 on and gives 1.0, so it cannot state this.)
         MarkovSpec(order=0, alphabet_size=len(row), transitions={(): row},
                    initial={(): 1.0})
-        assert sum(row) == self.Top().next_float()
+        assert list(itertools.accumulate(row))[-1] == self.Top().next_float()
         assert _sample(self.Top(), list(enumerate(row))) == 9
 
 
@@ -153,6 +157,17 @@ class TestGenConfig:
         dict(length_min=9, length_max=8),
         dict(anomaly_fraction=-0.1),
         dict(anomaly_fraction=1.5),
+        # Counts and the seed are ints and the fraction a number; a bool
+        # is neither.
+        dict(n_sequences=2.5),
+        dict(n_sequences=True),
+        dict(length_min=3.0),
+        dict(length_max=8.0),
+        dict(seed=1.5),
+        dict(seed=False),
+        dict(seed="7"),
+        dict(anomaly_fraction=True),
+        dict(anomaly_fraction="0.1"),
     ])
     def test_rejects_bad_values(self, kwargs):
         base = dict(n_sequences=5, length_min=3, length_max=8,
@@ -196,11 +211,35 @@ class TestGenerateCorpus:
         assert lo <= attacks <= hi
 
     def test_prefix_stability(self):
-        # Sub-seeds are drawn up front, so a shorter run is a prefix.
+        # Each sequence's sub-seed is the master stream's next value, so a
+        # shorter run is a prefix.
         bg, anom = self.pair()
         long = generate_corpus(bg, anom, GenConfig(20, 4, 8, 0.3, seed=9))
         short = generate_corpus(bg, anom, GenConfig(8, 4, 8, 0.3, seed=9))
         assert long[:8] == short
+
+    # Corpora from two random order-k sources over 3 symbols: four
+    # sequences in full, and a digest of 300. Orders 0 and 2 take context
+    # slices that the demo pair's order 1 never does.
+    PINNED = {
+        0: ([([2, 0, 0, 2], Label.ATTACK), ([1, 0, 2, 2], Label.NORMAL),
+             ([1, 2, 1], Label.ATTACK), ([0, 2, 1], Label.ATTACK)],
+            "54a4e283b3931793d434239326b4d66fb50707b534a08f50cae0077a68a4a891"),
+        2: ([([0, 2, 2, 0], Label.ATTACK), ([1, 1, 1, 0], Label.NORMAL),
+             ([2, 2, 1], Label.ATTACK), ([2, 0, 0, 2], Label.ATTACK)],
+            "c884b657b0936e3a183e49f3164ebb610f65a5335df207d97cdb2018f68e5ee0"),
+    }
+
+    @pytest.mark.parametrize("order", sorted(PINNED))
+    def test_pinned_corpus_at_order(self, order):
+        bg = helpers.random_markov_spec(random.Random(10 + order), order, 3)
+        anom = helpers.random_markov_spec(random.Random(20 + order), order, 3)
+        small, digest = self.PINNED[order]
+        cfg = GenConfig(4, max(order, 1) + 1, 6, 0.5, seed=31)
+        assert generate_corpus(bg, anom, cfg) == small
+        big = generate_corpus(bg, anom, GenConfig(300, max(order, 1), 40, 0.3, seed=2025))
+        text = repr([(seq, label.value) for seq, label in big])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_alphabet_mismatch(self):
         bg, _ = demo_spec_pair(4)
@@ -330,3 +369,11 @@ class TestCorpusToSequences:
         assert sequences[0].label is Label.NORMAL
         assert sequences[1].label is Label.ATTACK
         assert [s.window_start for s in sequences] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("symbol", [-1, 3])
+    def test_symbol_outside_alphabet_is_refused(self, symbol):
+        # Token ids equal symbols, so -1 would name no token, or s2 if it
+        # indexed a table from the end.
+        corpus = [([0, 1], Label.NORMAL), ([0, symbol, 2], Label.ATTACK)]
+        with pytest.raises(ValueError, match="sequence 1 has symbols outside"):
+            corpus_to_sequences(corpus, alphabet_size=3)
