@@ -41,7 +41,6 @@ from .pst import (
     save_model,
     score_sequence,
 )
-from .synth import GenConfig, corpus_to_sequences, demo_spec_pair, generate_corpus
 
 SCORES_HEADER = "id,likelihood,per_symbol_log_loss,zero_likelihood"
 
@@ -206,8 +205,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     params = _pst_params(args)
     with open(args.input, encoding="utf-8") as fh:
         seqs, vocab = read_sequences(fh)
-    counts = count_contexts((s.token_ids for s in seqs), params.depth, params.p_min)
-    tree = build_tree(counts, params, vocab)
+    tree = build_tree(count_contexts((s.token_ids for s in seqs), params.depth, params.p_min),
+                      params, vocab)  # so the count table is freed before the save
     created = None if args.no_timestamp else _now_utc()
     with open(args.output, "w", encoding="utf-8") as fh:
         save_model(tree, fh, created=created)
@@ -322,6 +321,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import GenConfig, corpus_to_sequences, demo_spec_pair, generate_corpus
     background, anomaly = demo_spec_pair(args.alphabet)
     gen = GenConfig(
         n_sequences=args.n_sequences, length_min=args.length_min,

@@ -185,7 +185,7 @@ def _ingest(rows: Iterable[_Row]) -> tuple[list[FlowRecord], IngestStats]:
     for lineno, cells in rows:
         stats.rows_read += 1
         try:
-            if isinstance(cells, str):
+            if type(cells) is str:
                 raise ValueError(cells)
             records.append(_record(cells, protocols))
         except ValueError as exc:

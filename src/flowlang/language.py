@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, TextIO
@@ -56,9 +57,8 @@ class SessionPolicy:
     def __post_init__(self):
         if self.kind not in SESSION_KINDS:
             raise ValueError(f"unknown session kind: {self.kind!r}")
-        if type(self.gap_seconds) not in (int, float) or not (
-                math.isfinite(self.gap_seconds) and self.gap_seconds > 0):
-            raise ValueError(f"gap_seconds must be positive, got {self.gap_seconds!r}")
+        if type(gap := self.gap_seconds) not in (int, float) or not 0 < gap <= sys.float_info.max:
+            raise ValueError(f"gap_seconds must be positive, got {gap!r}")
 
 
 class Vocabulary:
@@ -74,7 +74,7 @@ class Vocabulary:
         """Register token if new; return its id either way."""
         # The type check comes before the lookup, so an unhashable value
         # is a ValueError and not the dict's TypeError.
-        if not isinstance(token, str):
+        if type(token) is not str:
             raise ValueError(f"bad token text: {token!r}")
         existing = self._ids.get(token)
         if existing is not None:
@@ -109,7 +109,8 @@ class Vocabulary:
 
 @dataclass(frozen=True, slots=True)
 class Sequence:
-    """One session: a non-empty run of token ids between two endpoints."""
+    """One session: a non-empty tuple of token ids between two str endpoints;
+    ids or endpoints of any other type would read back as another Sequence."""
 
     ip_low: str
     ip_high: str
@@ -118,16 +119,20 @@ class Sequence:
     label: Label = Label.UNLABELED
 
     def __post_init__(self):
+        if type(self.token_ids) is not tuple:
+            raise ValueError(f"token ids are no tuple: {self.token_ids!r}")
         if not self.token_ids:
             raise ValueError("empty sequence")
         # write_sequences writes a float's repr, the only start its reader takes.
         if type(self.window_start) is not float or not math.isfinite(self.window_start):
             raise ValueError(f"window start is no finite float: {self.window_start!r}")
-        if self.ip_low > self.ip_high:
-            raise ValueError(f"endpoint pair not ordered: {self.ip_low!r} > {self.ip_high!r}")
         for ip in (self.ip_low, self.ip_high):
+            if type(ip) is not str:
+                raise ValueError(f"endpoint is no str: {ip!r}")
             if any(map(str.isspace, ip)):
                 raise ValueError(f"whitespace in endpoint: {ip!r}")
+        if self.ip_low > self.ip_high:
+            raise ValueError(f"endpoint pair not ordered: {self.ip_low!r} > {self.ip_high!r}")
         if type(self.label) is not Label:
             raise ValueError(f"bad label: {self.label!r}")
 

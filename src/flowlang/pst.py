@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from itertools import groupby
@@ -30,14 +31,6 @@ MODEL_VERSION = 1
 _TINY = 5e-324
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class PstParams:
     """Construction hyperparameters.
@@ -48,8 +41,8 @@ class PstParams:
     context when some conditional differs from its suffix's by a factor
     of tau or more (either direction). epsilon: uniform smoothing floor
     mixed into every queried distribution. depth is an int; the other
-    four are stored as floats, so equal params save as equal bytes. A
-    bool is neither.
+    four are floats, or ints within float range stored as floats, so
+    equal params save as equal bytes. A bool or a subclass is neither.
     """
 
     depth: int = 14
@@ -59,11 +52,12 @@ class PstParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not _is_int(self.depth):
+        if type(self.depth) is not int:
             raise ValueError(f"depth must be an int, got {self.depth!r}")
         for f in fields(self)[1:]:
             value = getattr(self, f.name)
-            if not _is_number(value):
+            if type(value) is not float and (
+                    type(value) is not int or abs(value) > sys.float_info.max):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
             object.__setattr__(self, f.name, float(value))
         if self.depth < 0:
@@ -272,13 +266,13 @@ def make_tree(dists: dict[tuple[int, ...], dict[int, float]], params: PstParams,
     int id of vocab, every row is a distribution (numbers in [0, 1]
     summing to 1 within 1e-9; only the root of an empty vocabulary is
     empty), params.epsilon leaves the rows some mass and both training
-    counts are ints >= 0. A bool is neither an int nor a number here.
+    counts are ints >= 0. Ints and numbers have type int or float exactly.
     """
     m = len(vocab)
     if params.epsilon > 0.0 and (m == 0 or params.epsilon >= 1.0 / m):
         raise ValueError(f"epsilon {params.epsilon} must be < 1/{m} for this vocabulary")
     for count in (n_sequences, n_tokens):
-        if not (_is_int(count) and count >= 0):
+        if type(count) is not int or count < 0:
             raise ValueError(f"training count {count!r} is not an int >= 0")
     if () not in dists:
         raise ValueError("missing root node")
@@ -292,11 +286,11 @@ def make_tree(dists: dict[tuple[int, ...], dict[int, float]], params: PstParams,
         if len(ctx) > params.depth:
             raise ValueError(f"context {list(ctx)} is longer than depth {params.depth}")
         for sym in (*ctx, *dist):
-            if not (_is_int(sym) and 0 <= sym < m):
+            if type(sym) is not int or not 0 <= sym < m:
                 raise ValueError(
                     f"symbol {sym!r} of context {list(ctx)} is not an id of the "
                     f"{m}-token vocabulary")
-        if not all(_is_number(p) and 0.0 <= p <= 1.0 for p in dist.values()) \
+        if not all(type(p) in (int, float) and 0.0 <= p <= 1.0 for p in dist.values()) \
                 or m and abs(math.fsum(dist.values()) - 1.0) > 1e-9:
             raise ValueError(f"dist of {list(ctx)} is not a distribution: {dist}")
         node = nodes[ctx] = PstNode(ctx, {sym: float(p) for sym, p in dist.items()})
@@ -581,8 +575,8 @@ def load_model(source: TextIO) -> Pst:
         doc = json.load(source)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModelError(f"model is not valid JSON: {exc}") from None
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if not _is_int(version):
+    version = doc.get("version") if type(doc) is dict else None
+    if type(version) is not int:
         raise CorruptModelError("missing or non-integer version field")
     if version != MODEL_VERSION:
         raise ModelVersionError(
@@ -606,7 +600,7 @@ def load_model(source: TextIO) -> Pst:
                                                    tuple(node["context"])))
     # created is a string when present; any other value differs from it.
     created = doc.get("created")
-    written = _document(pst, created if isinstance(created, str) else None)
+    written = _document(pst, created if type(created) is str else None)
     differ = (doc.keys() ^ written.keys()) | {
         key for key in doc.keys() & written.keys() if doc[key] != written[key]}
     if differ:

@@ -879,10 +879,11 @@ def test_now_utc_is_a_utc_stamp():
 def test_import_leaves_out_modules_no_stage_start_needs():
     # Each stage is a process of its own and pays for every module the CLI
     # imports. fractions (with decimal) is imported for histogram's exact
-    # branch only, importlib.resources for the bundled word list only. -S
-    # leaves out what site imports for this environment.
+    # branch only, importlib.resources for the bundled word list only,
+    # flowlang.synth for synth only. -S leaves out what site imports for
+    # this environment.
     code = ("import sys, flowlang.cli; print(sorted({'datetime', 'fractions', 'decimal',"
-            " 'importlib.resources'} & set(sys.modules)))")
+            " 'importlib.resources', 'flowlang.synth'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(flowlang.cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True)

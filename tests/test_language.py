@@ -26,6 +26,7 @@ from flowlang.language import (
     tokenize,
     write_sequences,
 )
+from flowlang.pst import PstParams
 
 TOKEN_GRAMMAR = re.compile(r"^[a-z0-9]+_(b|d)([0-9]+|z)$")
 
@@ -133,6 +134,58 @@ class TestSequenceType:
             with pytest.raises(ValueError, match="bad label"):
                 Sequence(ip_low="a", ip_high="b", window_start=0.0, token_ids=(0,),
                          label=label)
+        # Endpoints or ids of another type are written as text that reads
+        # back as another Sequence; int endpoints are no TypeError either.
+        for low, high in ((("a",), ("b",)), (1, 2)):
+            with pytest.raises(ValueError, match="endpoint is no str"):
+                Sequence(ip_low=low, ip_high=high, window_start=0.0, token_ids=(0,))
+        for ids in ([0], range(1)):
+            with pytest.raises(ValueError, match="token ids are no tuple"):
+                Sequence(ip_low="a", ip_high="b", window_start=0.0, token_ids=ids)
+
+
+# A valid value for every field of each record flowlang writes to a file.
+VALID_FIELDS = {
+    FlowRecord: dict(ts=0.0, src_ip="10.0.0.1", src_port=1, dst_ip="10.0.0.2", dst_port=2,
+                     protocol="tcp", orig_bytes=3, resp_bytes=4, orig_pkts=1, resp_pkts=1,
+                     duration=0.5, label=Label.NORMAL),
+    Sequence: dict(ip_low="a", ip_high="b", window_start=0.0, token_ids=(0, 1),
+                   label=Label.NORMAL),
+    PstParams: dict(depth=2, p_min=0.0, threshold=0.0, tau=2.0, epsilon=0.0),
+}
+SUBCLASSES = {t: type(f"{t.__name__.title()}Subclass", (t,), {})
+              for t in (int, float, str, tuple)}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_field_of_another_type_is_a_value_error(data):
+    # Types are tested exactly: a bool, a subclass of the field's type, None
+    # or a tuple in place of any one valid value is refused, never with a
+    # TypeError. Label has members, so it has no subclass.
+    cls = data.draw(st.sampled_from(list(VALID_FIELDS)))
+    kwargs = dict(VALID_FIELDS[cls])
+    cls(**kwargs)
+    name = data.draw(st.sampled_from(list(kwargs)))
+    valid = kwargs[name]
+    options = [st.booleans(), st.none()]
+    if type(valid) is not tuple:
+        options.append(st.just((valid,)))
+    if type(valid) in SUBCLASSES:
+        options.append(st.just(SUBCLASSES[type(valid)](valid)))
+    kwargs[name] = data.draw(st.one_of(options))
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda big: PstParams(tau=big), lambda big: PstParams(p_min=-big),
+    lambda big: SessionPolicy("gap", big), lambda big: SessionPolicy("gap", -big),
+], ids=["params-tau", "params-p-min", "gap", "negative-gap"])
+def test_int_beyond_float_range_is_a_value_error(build):
+    # float() of such an int, or math.isfinite, raises OverflowError.
+    with pytest.raises(ValueError):
+        build(10**400)
 
 
 class TestBucketing:

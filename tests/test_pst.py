@@ -38,6 +38,14 @@ from flowlang.synth import (
 A, B = 0, 1
 
 
+class IntSubclass(int):
+    """An int that is not of type int, refused as a bool is."""
+
+
+class FloatSubclass(float):
+    """A float that is not of type float, refused as a bool is."""
+
+
 def train(id_sequences, params, vocab_size):
     vocab = helpers.small_vocab(vocab_size)
     counts = count_contexts(id_sequences, params.depth, params.p_min)
@@ -551,18 +559,25 @@ class TestMakeTree:
         ({(): {A: True, B: False}}, PstParams(depth=0), "not a distribution"),
         ({(): {A: "1.0"}}, PstParams(depth=0), "not a distribution"),
         ({(): {A: 0.5, B: 0.5}, (True,): {A: 1.0}}, PstParams(depth=1), "vocabulary"),
+        ({(): {IntSubclass(A): 0.5, B: 0.5}}, PstParams(depth=0), "vocabulary"),
+        ({(): {A: 0.5, B: 0.5}, (IntSubclass(B),): {A: 1.0}}, PstParams(depth=1),
+         "vocabulary"),
+        ({(): {A: FloatSubclass(0.5), B: 0.5}}, PstParams(depth=0), "not a distribution"),
     ], ids=["deeper-than-depth", "symbol-outside-vocabulary", "row-sum",
             "probability-range", "infinite-probabilities", "epsilon",
             "bool-dist-symbol", "float-dist-symbol", "bool-probability",
-            "string-probability", "bool-context-symbol"])
+            "string-probability", "bool-context-symbol", "int-subclass-dist-symbol",
+            "int-subclass-context-symbol", "float-subclass-probability"])
     def test_bad_table_rejected(self, table, params, match):
         with pytest.raises(ValueError, match=match):
             make_tree(table, params, helpers.small_vocab(2))
 
     @pytest.mark.parametrize("n_sequences, n_tokens", [
         (-1, 0), (0, -1), (1, 2.5), (1.0, 2), (True, 2), (1, None),
+        (IntSubclass(1), 2), (1, IntSubclass(2)),
     ], ids=["negative-sequences", "negative-tokens", "fractional-tokens",
-            "float-sequences", "bool-sequences", "missing-tokens"])
+            "float-sequences", "bool-sequences", "missing-tokens",
+            "int-subclass-sequences", "int-subclass-tokens"])
     def test_bad_training_counts_rejected(self, n_sequences, n_tokens):
         with pytest.raises(ValueError, match="training count"):
             make_tree(HAND_TABLE, PstParams(depth=2), helpers.small_vocab(2),
