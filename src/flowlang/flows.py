@@ -120,7 +120,9 @@ class FlowRecord:
                 raise ValueError(f"invalid {name}: {text!r}") from exc
             if "," in canonical or any(map(str.isspace, canonical)):
                 raise ValueError(f"separator in {name}: {text!r}")
-            object.__setattr__(self, name, canonical)
+            # Canonical text stays the object given, which the parsers share.
+            if canonical != text:
+                object.__setattr__(self, name, canonical)
 
 
 def total_bytes(flow: FlowRecord) -> int:
@@ -158,15 +160,19 @@ def _parse_real(text: str) -> float:
     return float(text)
 
 
-def _record(cells: list[str], protocols: dict[str, str]) -> FlowRecord:
+def _record(cells: list[str], protocols: dict[str, str],
+            addresses: dict[str, str]) -> FlowRecord:
     """Build a FlowRecord from cell texts in CSV_HEADER order; raises
     ValueError on a missing timestamp or any bad value. protocols maps
-    protocol text to normalize_protocol's result, filled as rows need it."""
+    protocol text to normalize_protocol's result, filled as rows need it;
+    addresses maps address text to the first object seen with that text,
+    so the records share one copy of each."""
     ts, src_ip, src_port, dst_ip, dst_port, proto, ob, rb, op, rp, duration, label = cells
     if ts in _MISSING:
         raise ValueError("missing ts")
     protocol = protocols.get(proto) or protocols.setdefault(proto, normalize_protocol(proto))
-    return FlowRecord(_parse_real(ts), src_ip, _parse_count(src_port), dst_ip,
+    return FlowRecord(_parse_real(ts), addresses.setdefault(src_ip, src_ip),
+                      _parse_count(src_port), addresses.setdefault(dst_ip, dst_ip),
                       _parse_count(dst_port), protocol, _parse_count(ob), _parse_count(rb),
                       _parse_count(op), _parse_count(rp),
                       0.0 if duration in _MISSING else _parse_real(duration), Label.parse(label))
@@ -182,12 +188,13 @@ def _ingest(rows: Iterable[_Row]) -> tuple[list[FlowRecord], IngestStats]:
     records: list[FlowRecord] = []
     stats = IngestStats()
     protocols: dict[str, str] = {}
+    addresses: dict[str, str] = {}
     for lineno, cells in rows:
         stats.rows_read += 1
         try:
             if type(cells) is str:
                 raise ValueError(cells)
-            records.append(_record(cells, protocols))
+            records.append(_record(cells, protocols, addresses))
         except ValueError as exc:
             stats.rows_rejected += 1
             logger.debug("rejected line %d: %s", lineno, exc)

@@ -573,7 +573,11 @@ def load_model(source: TextIO) -> Pst:
     """
     try:
         doc = json.load(source)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except UnicodeDecodeError:
+        # The CLI reports bytes that are not UTF-8 as such.
+        raise
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError, or an integer literal over Python's digit limit.
         raise CorruptModelError(f"model is not valid JSON: {exc}") from None
     version = doc.get("version") if type(doc) is dict else None
     if type(version) is not int:

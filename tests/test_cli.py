@@ -453,6 +453,20 @@ class TestScore:
         assert code == 3
         assert stderr.startswith("format error: ")
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"version": ' + b"1" * 5000 + b"}", "format error: model is not valid JSON: "),
+        (b'{"version": "\xff"}', "format error: input is not UTF-8 text: "),
+    ], ids=["over-digit-limit", "not-utf8"])
+    def test_unreadable_model_is_a_format_error(self, pipeline, tmp_path, capsys,
+                                                content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, _, stderr = run(capsys, "score", "--model", str(bad),
+                              "--in", str(pipeline / "corpus.txt"),
+                              "--out", str(tmp_path / "s.csv"))
+        assert code == 3
+        assert stderr.startswith(message)
+
     def test_missing_model(self, pipeline, tmp_path, capsys):
         code, _, _ = run(capsys, "score", "--model", str(tmp_path / "nope.json"),
                          "--in", str(pipeline / "corpus.txt"),

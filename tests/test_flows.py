@@ -474,3 +474,54 @@ class TestParsersAgree:
         assert zeek == [dataclasses.replace(r, label=Label.UNLABELED) for r in csv_records]
         if not edits:
             assert csv_records == [flow]
+
+
+def joined(lines, rows):
+    """The input lines(row) makes for one row, with every row after its header."""
+    return lines(rows[0])[:1] + [lines(row)[1] for row in rows]
+
+
+def with_addresses(flow, src, dst):
+    """The cells of flow's CSV row, with src and dst as its address texts."""
+    cells = csv_line(flow).split(",")
+    return cells[:1] + [src] + cells[2:3] + [dst] + cells[4:]
+
+
+PARSERS = [(parse_zeek_conn, zeek_text), (parse_labeled_csv, csv_text)]
+FLOW = FlowRecord(ts=1.0, src_ip="10.0.0.1", src_port=1, dst_ip="10.0.0.2", dst_port=2,
+                  protocol="tcp")
+
+# Address texts: IPv4, canonical and non-canonical IPv6, and invalid text.
+address_texts = st.sampled_from(
+    ["10.0.0.1", "10.0.0.2", "2001:db8::1", "2001:0DB8:0::1", "::ffff:1.2.3.4", "10.0.0.300"])
+
+
+class TestSharedAddresses:
+    @pytest.mark.parametrize("parse, lines", PARSERS, ids=["zeek", "csv"])
+    @pytest.mark.parametrize("a, b", [("10.0.0.1", "192.168.7.9"), ("2001:db8::1", "fe80::2")],
+                             ids=["ipv4", "ipv6"])
+    def test_equal_text_is_one_object(self, parse, lines, a, b):
+        rows = [with_addresses(FLOW, a, b), with_addresses(FLOW, b, a)]
+        (first, second), _ = parse(joined(lines, rows))
+        assert (first.src_ip, first.dst_ip) == (a, b)
+        assert first.src_ip is second.dst_ip
+        assert first.dst_ip is second.src_ip
+
+    @pytest.mark.parametrize("parse, lines", PARSERS, ids=["zeek", "csv"])
+    def test_non_canonical_ipv6_reads_back_canonical(self, parse, lines):
+        rows = [with_addresses(FLOW, "10.0.0.1", text)
+                for text in ("2001:0DB8:0::1", "2001:db8::1")]
+        records, _ = parse(joined(lines, rows))
+        assert [r.dst_ip for r in records] == ["2001:db8::1", "2001:db8::1"]
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(flow_records, address_texts, address_texts),
+                    min_size=1, max_size=8))
+    def test_rows_together_read_as_each_alone(self, drawn):
+        # Sharing address objects across a parse changes no record's value.
+        rows = [with_addresses(flow, src, dst) for flow, src, dst in drawn]
+        for parse, lines in PARSERS:
+            together, stats = parse(joined(lines, rows))
+            alone = [parse(lines(row)) for row in rows]
+            assert together == [record for records, _ in alone for record in records]
+            assert stats.rows_rejected == sum(s.rows_rejected for _, s in alone)

@@ -968,6 +968,17 @@ class TestModelIO:
         with pytest.raises(CorruptModelError, match="not valid JSON"):
             load_model(io.StringIO("[" * 100_000 + "]" * 100_000))
 
+    def test_integer_over_digit_limit(self):
+        # json.load raises a plain ValueError for an integer literal of more
+        # digits than Python converts; it is a corrupt model like any other.
+        with pytest.raises(CorruptModelError, match="not valid JSON"):
+            load_model(io.StringIO('{"version": ' + "1" * 5000 + "}"))
+
+    def test_undecodable_bytes_are_no_corrupt_model(self):
+        # The CLI reports these as input that is not UTF-8 text.
+        with pytest.raises(UnicodeDecodeError):
+            load_model(io.TextIOWrapper(io.BytesIO(b'{"version": "\xff"}'), encoding="utf-8"))
+
     def doc_for(self, mutate):
         pst = train([[A, B, A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
         buf = io.StringIO()
