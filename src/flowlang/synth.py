@@ -11,6 +11,7 @@ independent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -51,8 +52,8 @@ class SplitMix64:
 
 def _check_distribution(probs: Iterable[float], what: str) -> None:
     values = list(probs)
-    if any(p < 0.0 for p in values):
-        raise ValueError(f"{what} has a negative probability")
+    if not all(0.0 <= p <= 1.0 for p in values):  # NaN fails both
+        raise ValueError(f"{what} has a probability outside [0, 1]")
     total = math.fsum(values)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"{what} sums to {total!r}, not 1")
@@ -119,21 +120,26 @@ class GenConfig:
                 f"anomaly_fraction must be in [0, 1], got {self.anomaly_fraction!r}")
 
 
-def _sample(rng: SplitMix64, items: Iterable[tuple[Any, float]]) -> Any:
-    """Draw a value from (value, probability) pairs by cumulative scan."""
-    u = rng.next_float()
+def _table(items: Iterable[tuple[Any, float]]) -> tuple[list[float], list[Any]]:
+    """Running sums of the positive probabilities, and the values beside them."""
+    sums, values = [], []
     acc = 0.0  # summed p by p, not by sum(), which Python 3.12 made compensated
-    last_positive = None
     for value, p in items:
         if p <= 0.0:
             continue
-        last_positive = value
         acc += p
-        if u < acc:
-            return value
-    if last_positive is None:
+        sums.append(acc)
+        values.append(value)
+    if not values:
         raise ValueError("cannot sample from an all-zero distribution")
-    return last_positive
+    return sums, values
+
+
+def _draw(table: tuple[list[float], list[Any]], u: float) -> Any:
+    """The first value whose running sum exceeds u, else the last value."""
+    sums, values = table
+    i = bisect_right(sums, u)
+    return values[i] if i < len(values) else values[-1]
 
 
 def generate_corpus(
@@ -144,9 +150,9 @@ def generate_corpus(
     """Draw labeled sequences, each from one of the two sources.
 
     Per sequence: a sub-seed comes off the master stream, then that
-    sub-stream decides the label (attack with probability
-    anomaly_fraction), the length (uniform on [length_min, length_max]),
-    and the symbols. Deterministic given cfg.seed.
+    sub-stream decides the label (attack with probability anomaly_fraction),
+    the length (uniform on [length_min, length_max]) and the symbols, drawn
+    by bisecting per-call cumulative tables. Deterministic given cfg.seed.
     """
     if background.alphabet_size != anomaly.alphabet_size:
         raise ValueError(
@@ -156,20 +162,24 @@ def generate_corpus(
         raise ValueError(
             f"length_min {cfg.length_min} shorter than source order {max_order}")
 
+    sources = [(spec.order, _table(sorted(spec.initial.items())),
+                {ctx: _table(enumerate(row)) for ctx, row in spec.transitions.items()})
+               for spec in (background, anomaly)]
     master = SplitMix64(cfg.seed)
     corpus: list[tuple[list[int], Label]] = []
     for _ in range(cfg.n_sequences):
         rng = SplitMix64(master.next_u64())
-        is_attack = rng.next_float() < cfg.anomaly_fraction
+        next_float = rng.next_float
+        is_attack = next_float() < cfg.anomaly_fraction
         length = cfg.length_min + rng.next_below(cfg.length_max - cfg.length_min + 1)
-        spec = anomaly if is_attack else background
-        seq = list(_sample(rng, sorted(spec.initial.items())))
+        order, initial, rows = sources[is_attack]
+        seq = list(_draw(initial, next_float()))
         while len(seq) < length:
-            ctx = tuple(seq[len(seq) - spec.order:])
-            row = spec.transitions.get(ctx)
-            if row is None:
+            ctx = tuple(seq[len(seq) - order:])
+            table = rows.get(ctx)
+            if table is None:
                 raise ValueError(f"spec has no transition row for context {ctx}")
-            seq.append(_sample(rng, enumerate(row)))
+            seq.append(_draw(table, next_float()))
         corpus.append((seq, Label.ATTACK if is_attack else Label.NORMAL))
     return corpus
 

@@ -268,6 +268,25 @@ def trapezoid(points):
 # synthetic sources
 
 
+def scan_draw(items, u):
+    """The value a draw of u picks from (value, probability) pairs, by a
+    linear scan of the running sum: the first positive-probability value
+    whose sum exceeds u, else the last one. Raises ValueError when no
+    probability is positive."""
+    acc = 0.0  # summed p by p, not by sum(), which Python 3.12 made compensated
+    last_positive = None
+    for value, p in items:
+        if p <= 0.0:
+            continue
+        last_positive = value
+        acc += p
+        if u < acc:
+            return value
+    if last_positive is None:
+        raise ValueError("cannot sample from an all-zero distribution")
+    return last_positive
+
+
 def empirical_spec(corpus, order, alphabet_size):
     """Fit a dense order-k source to a corpus by plain counting.
 

@@ -8,7 +8,8 @@ every context is frequent, so counting keeps every substring. Scoring
 the corpus with that model pins the scorer on a second tree shape, with
 more and shallower contexts. A `train --threshold 0` pins the retention
 test where a symbol the context is never followed by can keep it. `eval`
-runs under both rankings, logloss and likelihood. `prepare`
+runs under both rankings, logloss and likelihood. A 16-symbol corpus
+pins the draw over rows twice as long as the quickstart's. `prepare`
 runs on the labeled CSV and the Zeek log the CLI tests use, and on the
 CSV under day and gap sessions too, and on a CSV and a Zeek log holding
 every reject reason, which pin the rows the parsers drop. Python
@@ -105,6 +106,9 @@ def test_readme_quickstart_and_words(tmp_path, capsys):
                        "precision@10: 1.0", "precision@50: 1.0", "precision@100: 0.95"]
     out = run("words", "--out", tmp_path / "words.tsv")
     assert out == ["scored 2578 words against a 427-node tree"]
+    out = run("synth", "--out", tmp_path / "corpus-a16.txt", "--alphabet", 16,
+              "--n", 300, "--seed", 9, "--no-timestamp")
+    assert out == ["wrote 300 sequences (8 attack, 292 normal), alphabet 16"]
     written = {str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
                if path.is_file()}
     assert written == DIGESTS.keys()

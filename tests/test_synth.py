@@ -15,7 +15,8 @@ from flowlang.synth import (
     GenConfig,
     MarkovSpec,
     SplitMix64,
-    _sample,
+    _draw,
+    _table,
     corpus_to_sequences,
     demo_spec_pair,
     exact_likelihood,
@@ -129,6 +130,16 @@ class TestMarkovSpec:
         with pytest.raises(ValueError, match="alphabet_size"):
             MarkovSpec(order=0, alphabet_size=0, transitions={}, initial={})
 
+    # NaN passes both a `p < 0` test and the fsum test (a NaN sum is not
+    # more than 1e-12 away from 1), and a draw would skip it.
+    @pytest.mark.parametrize("transitions, initial, what", [
+        ({(): (math.nan, 1.0)}, {(): 1.0}, r"transition row for \(\)"),
+        ({(): (0.5, 0.5)}, {(): math.nan}, "initial distribution"),
+    ], ids=["row", "initial"])
+    def test_rejects_nan(self, transitions, initial, what):
+        with pytest.raises(ValueError, match=f"{what} has a probability outside"):
+            MarkovSpec(order=0, alphabet_size=2, transitions=transitions, initial=initial)
+
 
 class TestSample:
     class Top:
@@ -140,14 +151,38 @@ class TestSample:
     @pytest.mark.parametrize("row", [(0.1,) * 10, (0.1,) * 10 + (0.0,)])
     def test_draw_past_the_rounded_sum_takes_the_last_positive_value(self, row):
         # MarkovSpec accepts the row, since its fsum is exactly 1, yet the
-        # running sum of ten 0.1s, added in order as _sample adds them,
+        # running sum of ten 0.1s, added in order as _table adds them,
         # ends at 0.9999999999999999, the draw itself, so no value's
         # cumulative sum exceeds the draw. (sum() is compensated from
         # Python 3.12 on and gives 1.0, so it cannot state this.)
         MarkovSpec(order=0, alphabet_size=len(row), transitions={(): row},
                    initial={(): 1.0})
         assert list(itertools.accumulate(row))[-1] == self.Top().next_float()
-        assert _sample(self.Top(), list(enumerate(row))) == 9
+        assert _draw(_table(enumerate(row)), self.Top().next_float()) == 9
+
+    # Zeros, subnormals (the smallest among them), ten 0.1s (whose running
+    # sum stops one ulp short of 1) and any other probability.
+    PROBABILITIES = st.one_of(
+        st.just(0.0), st.just(0.1), st.just(5e-324),
+        st.floats(0.0, 2.2250738585072014e-308), st.floats(0.0, 1.0))
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.lists(PROBABILITIES, max_size=12), st.just([0.1] * 10)), st.data())
+    def test_table_draw_picks_what_the_scan_picks(self, row, data):
+        items = list(enumerate(row))
+        sums = list(itertools.accumulate(p for p in row if p > 0.0))
+        edges = [x for s in sums
+                 for x in (math.nextafter(s, 0.0), s, math.nextafter(s, 1.0))
+                 if 0.0 <= x < 1.0]
+        u = data.draw(st.floats(0.0, 1.0, exclude_max=True)
+                      | (st.sampled_from(edges) if edges else st.nothing()))
+        if not sums:
+            with pytest.raises(ValueError, match="all-zero"):
+                helpers.scan_draw(items, u)
+            with pytest.raises(ValueError, match="all-zero"):
+                _draw(_table(items), u)
+        else:
+            assert _draw(_table(items), u) == helpers.scan_draw(items, u)
 
 
 class TestGenConfig:
