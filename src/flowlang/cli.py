@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--length-min", type=int, default=30)
     sp.add_argument("--length-max", type=int, default=70)
     sp.add_argument("--anomaly-fraction", type=float, default=0.05)
-    sp.add_argument("--alphabet", type=int, default=8)
+    sp.add_argument("--alphabet", type=int, default=8, help="4 to 1024 symbols")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--no-timestamp", action="store_true")
     sp.set_defaults(run=cmd_synth)

@@ -14,7 +14,8 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import FormatError
 
@@ -58,7 +59,7 @@ def normalize_protocol(text: str) -> str:
     return cleaned or "other"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FlowRecord:
     """One bidirectional flow between two endpoints.
 
@@ -79,50 +80,89 @@ class FlowRecord:
     duration: float = 0.0
     label: Label = Label.UNLABELED
 
-    def __post_init__(self):
-        for name in ("ts", "duration"):
-            value = getattr(self, name)
-            # The parsers pass floats. An int is stored as the float nearest
-            # it, so equal records write equal rows; a bool is no number.
-            if type(value) is not float:
-                if type(value) is not int or abs(value) > sys.float_info.max:
-                    raise ValueError(f"bad {name}: {value!r}")
-                object.__setattr__(self, name, float(value))
-        if not math.isfinite(self.ts):
-            raise ValueError(f"non-finite timestamp: {self.ts!r}")
-        for name in ("src_port", "dst_port", "orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ValueError(f"bad {name}: {value!r}")
-        if max(self.src_port, self.dst_port) > 65535:
-            raise ValueError(f"port out of range: {max(self.src_port, self.dst_port)}")
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError(f"bad duration: {self.duration!r}")
+    def __init__(self, ts, src_ip, src_port, dst_ip, dst_port, protocol, orig_bytes=0,
+                 resp_bytes=0, orig_pkts=0, resp_pkts=0, duration=0.0, label=Label.UNLABELED):
+        # The parsers pass floats. An int is stored as the float nearest it,
+        # so equal records write equal rows; a bool is no number.
+        if type(ts) is not float:
+            if type(ts) is not int or abs(ts) > sys.float_info.max:
+                raise ValueError(f"bad ts: {ts!r}")
+            ts = float(ts)
+        if type(duration) is not float:
+            if type(duration) is not int or abs(duration) > sys.float_info.max:
+                raise ValueError(f"bad duration: {duration!r}")
+            duration = float(duration)
+        if not math.isfinite(ts):
+            raise ValueError(f"non-finite timestamp: {ts!r}")
+        if type(src_port) is not int or src_port < 0:
+            raise ValueError(f"bad src_port: {src_port!r}")
+        if type(dst_port) is not int or dst_port < 0:
+            raise ValueError(f"bad dst_port: {dst_port!r}")
+        if type(orig_bytes) is not int or orig_bytes < 0:
+            raise ValueError(f"bad orig_bytes: {orig_bytes!r}")
+        if type(resp_bytes) is not int or resp_bytes < 0:
+            raise ValueError(f"bad resp_bytes: {resp_bytes!r}")
+        if type(orig_pkts) is not int or orig_pkts < 0:
+            raise ValueError(f"bad orig_pkts: {orig_pkts!r}")
+        if type(resp_pkts) is not int or resp_pkts < 0:
+            raise ValueError(f"bad resp_pkts: {resp_pkts!r}")
+        if src_port > 65535 or dst_port > 65535:
+            raise ValueError(f"port out of range: {max(src_port, dst_port)}")
+        if not (math.isfinite(duration) and duration >= 0):
+            raise ValueError(f"bad duration: {duration!r}")
         # Any other protocol or label is written as text that reads back as
         # another value, or not at all.
-        if type(self.protocol) is not str or not _PROTOCOL.fullmatch(self.protocol):
-            raise ValueError(f"bad protocol: {self.protocol!r}")
-        if type(self.label) is not Label:
-            raise ValueError(f"bad label: {self.label!r}")
-        for name in ("src_ip", "dst_ip"):
-            text = getattr(self, name)
-            if type(text) is not str:
-                raise ValueError(f"invalid {name}: {text!r}")
-            if _IPV4.fullmatch(text):
-                continue
-            # Valid IPv4 text matched _IPV4, so this is IPv6 or invalid. One
-            # IPv6 host has many spellings; keep the canonical one so it forms
-            # one endpoint. Only a zone id can hold whitespace, which splits a
-            # Zeek row, or a comma, which splits a CSV row.
-            try:
-                canonical = str(ipaddress.IPv6Address(text))
-            except ValueError as exc:
-                raise ValueError(f"invalid {name}: {text!r}") from exc
-            if "," in canonical or any(map(str.isspace, canonical)):
-                raise ValueError(f"separator in {name}: {text!r}")
-            # Canonical text stays the object given, which the parsers share.
-            if canonical != text:
-                object.__setattr__(self, name, canonical)
+        if type(protocol) is not str or not _PROTOCOL.fullmatch(protocol):
+            raise ValueError(f"bad protocol: {protocol!r}")
+        if type(label) is not Label:
+            raise ValueError(f"bad label: {label!r}")
+        # Valid IPv4 text is canonical; other text is IPv6 or invalid.
+        if type(src_ip) is not str or not _IPV4.fullmatch(src_ip):
+            src_ip = _canonical_ipv6("src_ip", src_ip)
+        if type(dst_ip) is not str or not _IPV4.fullmatch(dst_ip):
+            dst_ip = _canonical_ipv6("dst_ip", dst_ip)
+        _set_ts(self, ts)
+        _set_src_ip(self, src_ip)
+        _set_src_port(self, src_port)
+        _set_dst_ip(self, dst_ip)
+        _set_dst_port(self, dst_port)
+        _set_protocol(self, protocol)
+        _set_orig_bytes(self, orig_bytes)
+        _set_resp_bytes(self, resp_bytes)
+        _set_orig_pkts(self, orig_pkts)
+        _set_resp_pkts(self, resp_pkts)
+        _set_duration(self, duration)
+        _set_label(self, label)
+
+
+# The slots' own setters, which store past the frozen __setattr__.
+_set_ts = FlowRecord.ts.__set__
+_set_src_ip = FlowRecord.src_ip.__set__
+_set_src_port = FlowRecord.src_port.__set__
+_set_dst_ip = FlowRecord.dst_ip.__set__
+_set_dst_port = FlowRecord.dst_port.__set__
+_set_protocol = FlowRecord.protocol.__set__
+_set_orig_bytes = FlowRecord.orig_bytes.__set__
+_set_resp_bytes = FlowRecord.resp_bytes.__set__
+_set_orig_pkts = FlowRecord.orig_pkts.__set__
+_set_resp_pkts = FlowRecord.resp_pkts.__set__
+_set_duration = FlowRecord.duration.__set__
+_set_label = FlowRecord.label.__set__
+
+
+def _canonical_ipv6(name: str, text) -> str:
+    """Canonical IPv6 text, so that one host spelt two ways is one endpoint;
+    a zone id may hold no whitespace or comma, which would split its row."""
+    if type(text) is not str:
+        raise ValueError(f"invalid {name}: {text!r}")
+    try:
+        canonical = str(ipaddress.IPv6Address(text))
+    except ValueError as exc:
+        raise ValueError(f"invalid {name}: {text!r}") from exc
+    if "," in canonical or any(map(str.isspace, canonical)):
+        raise ValueError(f"separator in {name}: {text!r}")
+    # Canonical text stays the object given, which the parsers share.
+    return text if canonical == text else canonical
 
 
 def total_bytes(flow: FlowRecord) -> int:
@@ -160,7 +200,7 @@ def _parse_real(text: str) -> float:
     return float(text)
 
 
-def _record(cells: list[str], protocols: dict[str, str],
+def _record(cells: Sequence[str], protocols: dict[str, str],
             addresses: dict[str, str]) -> FlowRecord:
     """Build a FlowRecord from cell texts in CSV_HEADER order; raises
     ValueError on a missing timestamp or any bad value. protocols maps
@@ -180,7 +220,7 @@ def _record(cells: list[str], protocols: dict[str, str],
 
 # A data row's line number and either its cells in CSV_HEADER order or the
 # reason it could not be split into them.
-_Row = tuple[int, list[str] | str]
+_Row = tuple[int, Sequence[str] | str]
 
 
 def _ingest(rows: Iterable[_Row]) -> tuple[list[FlowRecord], IngestStats]:
@@ -209,11 +249,11 @@ _ZEEK_FIELDS = ("ts", "id.orig_h", "id.orig_p", "id.resp_h", "id.resp_p", "proto
 
 def _zeek_rows(lines: Iterable[str]) -> Iterator[_Row]:
     width = 0
-    order: list[int | None] | None = None
+    pick = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         # Before the header a whitespace-only line is blank, as to sniff_format.
-        if not line or order is None and line.isspace():
+        if not line or pick is None and line.isspace():
             continue
         if line.startswith("#"):
             parts = line.split("\t")
@@ -225,16 +265,18 @@ def _zeek_rows(lines: Iterable[str]) -> Iterator[_Row]:
                     raise FormatError(f"line {lineno}: #fields lacks {', '.join(missing)}")
                 # Count the names, not the distinct names: with a repeated
                 # name, every index must still fall inside a full row.
+                # An absent column reads the "-" appended past the row's end.
                 width = len(parts) - 1
-                order = [columns.get(name) for name in _ZEEK_FIELDS]
+                pick = itemgetter(*(columns.get(name, width) for name in _ZEEK_FIELDS))
             continue
-        if order is None:
+        if pick is None:
             raise FormatError(f"line {lineno}: data row before #fields header")
         fields = line.split("\t")
         if len(fields) != width:
             yield lineno, f"expected {width} fields, got {len(fields)}"
         else:
-            yield lineno, ["-" if i is None else fields[i] for i in order]
+            fields.append("-")
+            yield lineno, pick(fields)
 
 
 def parse_zeek_conn(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats]:
@@ -278,7 +320,7 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[_Row]:
         if len(row) != len(CSV_HEADER):
             yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
         else:
-            yield reader.line_num, [cell.strip() for cell in row]
+            yield reader.line_num, list(map(str.strip, row))
 
 
 def parse_labeled_csv(lines: Iterable[str]) -> tuple[list[FlowRecord], IngestStats]:

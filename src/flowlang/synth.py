@@ -22,6 +22,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+MAX_DEMO_ALPHABET = 1024
 
 
 class SplitMix64:
@@ -212,11 +213,12 @@ def demo_spec_pair(alphabet_size: int = 8) -> tuple[MarkovSpec, MarkovSpec]:
     Background walks the alphabet as a noisy forward cycle (93% step +1,
     5% step +2, the rest spread uniformly); the anomaly source emits
     symbols uniformly at random, which no model can compress. Both are
-    order 1 with uniform initial symbols.
+    order 1 with uniform initial symbols, over 4 to MAX_DEMO_ALPHABET
+    symbols: the rows are dense, so memory grows with the alphabet squared.
     """
     m = alphabet_size
-    if m < 4:
-        raise ValueError(f"alphabet_size must be >= 4, got {m}")
+    if not 4 <= m <= MAX_DEMO_ALPHABET:
+        raise ValueError(f"alphabet_size must be 4 to {MAX_DEMO_ALPHABET}, got {m}")
     rest = 0.02 / (m - 2)
     bg_rows: dict[tuple[int, ...], tuple[float, ...]] = {}
     for i in range(m):

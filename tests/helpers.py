@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way (explicit loops, Fraction
 arithmetic where it matters) so that agreement with the fast code is
-meaningful evidence rather than the same algorithm twice. Also the two
-small flow inputs that the CLI and golden tests share.
+meaningful evidence rather than the same algorithm twice. Also the small
+flow inputs that the CLI and golden tests and the CI installed-cli job
+share.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 
 from flowlang.errors import FormatError
-from flowlang.flows import Label
+from flowlang.flows import CSV_HEADER, Label
 from flowlang.language import Sequence, Vocabulary, _sequence_line, _sort_key, read_sequences
 from flowlang.pst import ContextCounts, Pst, PstParams
 from flowlang.synth import MarkovSpec
@@ -38,6 +39,93 @@ ZEEK_TEXT = (
     "10.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t900\t400\t4\t4\t0.5\n"
     "20.0\t10.0.0.9\t80\t10.0.0.1\t2222\ttcp\t-\t100\t1\t1\t-\n"
 )
+
+# A labeled CSV and a Zeek log, each with one row per reject reason
+# (a bad IP, a leading-zero octet, no ts, a negative count, port 70000,
+# a nan duration, a short row), in that order after one good row, and one
+# IPv6 host written two ways, which must form one session.
+CSV_REJECTS = (
+    ",".join(CSV_HEADER) + "\n"
+    "100.0,10.0.0.1,1234,10.0.0.2,80,tcp,500,1500,5,5,0.3,normal\n"
+    "110.0,10.0.0.300,1234,10.0.0.2,80,tcp,1,1,1,1,0.1,normal\n"
+    "120.0,10.0.0.01,1234,10.0.0.2,80,tcp,1,1,1,1,0.1,normal\n"
+    "-,10.0.0.1,1234,10.0.0.2,80,tcp,1,1,1,1,0.1,normal\n"
+    "130.0,10.0.0.1,1234,10.0.0.2,80,tcp,-5,1,1,1,0.1,normal\n"
+    "140.0,10.0.0.1,70000,10.0.0.2,80,tcp,1,1,1,1,0.1,normal\n"
+    "150.0,10.0.0.1,1234,10.0.0.2,80,tcp,1,1,1,1,nan,normal\n"
+    "160.0,10.0.0.1,1234,10.0.0.2,80,tcp,1,1,1,1,0.1\n"
+    "170.0,2001:db8::1,4000,2001:db8::2,443,tcp,300,300,3,3,0.5,attack\n"
+    "180.0,2001:0db8:0:0::1,4001,2001:db8::2,443,udp,40,0,1,0,0.0,attack\n"
+    "200.0,10.0.0.2,80,10.0.0.1,5555,tcp,100,900,2,3,0.2,normal\n"
+)
+ZEEK_REJECTS = (
+    "#separator \\x09\n"
+    "#fields\tts\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tproto"
+    "\torig_bytes\tresp_bytes\torig_pkts\tresp_pkts\tduration\n"
+    "10.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t900\t400\t4\t4\t0.5\n"
+    "11.0\tnonsense\t1111\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\t0.1\n"
+    "12.0\t10.0.0.1\t1111\t010.0.0.9\t80\ttcp\t1\t1\t1\t1\t0.1\n"
+    "-\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\t0.1\n"
+    "13.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t1\t1\t-1\t1\t0.1\n"
+    "14.0\t10.0.0.1\t70000\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\t0.1\n"
+    "15.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\tnan\n"
+    "16.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\n"
+    "17.0\tfe80::1\t5353\t2001:db8::2\t53\tudp\t60\t90\t1\t1\t0.01\n"
+    "18.0\tFE80:0:0::0001\t5353\t2001:db8::2\t53\tudp\t70\t-\t1\t-\t-\n"
+    "20.0\t10.0.0.9\t80\t10.0.0.1\t2222\ttcp\t-\t100\t1\t1\t-\n"
+)
+
+
+# ---------------------------------------------------------------------------
+# flow number cells, as README's grammar states them
+
+MISSING_CELLS = ("-", "(empty)", "")
+
+
+def oracle_count(text):
+    """A port or count cell: ASCII digits, read as int(text), or a
+    missing marker, read as 0. None if the cell rejects its row."""
+    if text in MISSING_CELLS:
+        return 0
+    for c in text:
+        if c not in "0123456789":
+            return None
+    return int(text)
+
+
+def oracle_real(text):
+    """A ts or duration cell that is not a missing marker: ASCII text
+    without "_" or whitespace at either end that float() reads, read as
+    float(text). None if the cell rejects its row."""
+    for c in text:
+        if ord(c) > 127 or c == "_":
+            return None
+    if text[0].isspace() or text[-1].isspace():
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def oracle_flow_numbers(ts, port, count, duration):
+    """The (ts, port, count, duration) values a row with these cells, and
+    valid other cells, reads as; None if the row is rejected. A ts is never
+    missing and always finite, a port at most 65535, and a duration, 0.0
+    when missing, finite and not negative."""
+    if ts in MISSING_CELLS:
+        return None
+    values = (oracle_real(ts), oracle_count(port), oracle_count(count),
+              0.0 if duration in MISSING_CELLS else oracle_real(duration))
+    for value in values:
+        if value is None:
+            return None
+    ts_value, port_value, _, duration_value = values
+    if not math.isfinite(ts_value) or port_value > 65535:
+        return None
+    if not math.isfinite(duration_value) or duration_value < 0:
+        return None
+    return values
 
 
 # ---------------------------------------------------------------------------

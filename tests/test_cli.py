@@ -283,6 +283,20 @@ class TestSynth:
         assert run(capsys, "synth", "--out", str(c), *args)[0] == 0
         assert a.read_bytes() != c.read_bytes()
 
+    def test_alphabet_past_bound_exits_2_without_writing(self, tmp_path, capsys):
+        from flowlang.synth import MAX_DEMO_ALPHABET
+        out = tmp_path / "c.txt"
+        code, stdout, stderr = run(capsys, "synth", "--out", str(out), "--n", "3",
+                                   "--length-min", "1", "--length-max", "2",
+                                   "--alphabet", str(MAX_DEMO_ALPHABET + 1))
+        assert (code, stdout, out.exists()) == (2, "", False)
+        assert stderr == (f"error: alphabet_size must be 4 to {MAX_DEMO_ALPHABET}, "
+                          f"got {MAX_DEMO_ALPHABET + 1}\n")
+        # --help states the bound.
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        assert f"4 to {MAX_DEMO_ALPHABET} symbols" in capsys.readouterr().out
+
 
 class TestTrain:
     def test_summary_matches_saved_model(self, pipeline, capsys):

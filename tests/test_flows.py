@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import io
 import ipaddress
 import logging
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from flowlang.errors import FormatError
 from flowlang.flows import (
     CSV_HEADER,
@@ -163,6 +165,42 @@ class TestFlowRecord:
         write_labeled_csv([flow], written[0])
         write_labeled_csv([dataclasses.replace(flow, ts=5.0, duration=2.0)], written[1])
         assert written[0].getvalue() == written[1].getvalue()
+
+    def test_is_a_frozen_hashable_dataclass(self):
+        # FlowRecord writes its own __init__; what the dataclass gives the
+        # rest must still hold.
+        args = (5, "10.0.0.1", 1, "10.0.0.2", 2, "tcp", 3, 4, 5, 6, 0.5, Label.ATTACK)
+        names = ("ts", "src_ip", "src_port", "dst_ip", "dst_port", "protocol",
+                 "orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts", "duration", "label")
+        flow = FlowRecord(*args)
+        assert flow == FlowRecord(**dict(zip(names, args)))
+        assert FlowRecord.__match_args__ == names
+        assert tuple(f.name for f in dataclasses.fields(FlowRecord)) == names
+        # The written __init__ keeps the fields' order and defaults.
+        parameters = inspect.signature(FlowRecord).parameters.values()
+        empty = {dataclasses.MISSING: inspect.Parameter.empty}
+        assert [(p.name, p.default) for p in parameters] == [
+            (f.name, empty.get(f.default, f.default)) for f in dataclasses.fields(FlowRecord)]
+        assert [getattr(flow, name) for name in names] == [5.0, *args[1:]]
+        assert type(flow.ts) is float
+        assert repr(flow) == (
+            "FlowRecord(ts=5.0, src_ip='10.0.0.1', src_port=1, dst_ip='10.0.0.2', "
+            "dst_port=2, protocol='tcp', orig_bytes=3, resp_bytes=4, orig_pkts=5, "
+            "resp_pkts=6, duration=0.5, label=<Label.ATTACK: 'attack'>)")
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(flow, name, getattr(flow, name))
+        twin = FlowRecord(*args)
+        assert twin is not flow and hash(twin) == hash(flow)
+        assert len({flow, twin, dataclasses.replace(flow, ts=6)}) == 2
+        moved = dataclasses.replace(flow, dst_ip="2001:0DB8::1", duration=2)
+        assert (moved.dst_ip, moved.duration, type(moved.duration)) == ("2001:db8::1", 2.0, float)
+        assert dataclasses.replace(moved, dst_ip="10.0.0.2", duration=0.5) == flow
+        with pytest.raises(ValueError):
+            dataclasses.replace(flow, src_port=-1)
+        match flow:
+            case FlowRecord(ts, src, sport, dst, dport, proto):
+                assert (ts, src, sport, dst, dport, proto) == (5.0, *args[1:6])
 
     def test_ipv6_allowed(self):
         flow = FlowRecord(ts=0.0, src_ip="::1", src_port=0, dst_ip="fe80::2",
@@ -419,6 +457,17 @@ junk_cells = st.sampled_from(
      "999.0.0.1", "::1", "TCP", "udp"])
 
 
+# Number cell texts from digits, non-ASCII digits (which int() and float()
+# read, or isdigit() takes), signs, "_", ".", "e" and blanks, and the missing
+# markers; one branch draws digits alone, so rows pass more often.
+NUMBER_CHARS = list("0123456789") + ["\u0663", "\u00b3", "_", "+", "-", ".", "e",
+                                      " ", "\x0b", "\x0c"]
+number_cells = st.one_of(
+    st.sampled_from(["-", "(empty)", ""]),
+    st.text(st.sampled_from(NUMBER_CHARS[:12]), min_size=1, max_size=4),
+    st.text(st.sampled_from(NUMBER_CHARS), max_size=6))
+
+
 def zeek_text(cells):
     names = ["ts", "id.orig_h", "id.orig_p", "id.resp_h", "id.resp_p", "proto",
              "orig_bytes", "resp_bytes", "orig_pkts", "resp_pkts", "duration"]
@@ -459,6 +508,28 @@ class TestNumberGrammar:
         records, stats = parse_zeek_conn(zeek_text(edited))
         assert (records, stats.rows_read, stats.rows_rejected) == ([], 1, 1)
         assert parse_labeled_csv(csv_text(edited))[1].rows_rejected == 0
+
+    # The README's grammar, cell by cell (helpers.oracle_flow_numbers),
+    # against both parsers.
+    @settings(max_examples=600)
+    @given(number_cells, st.sampled_from([2, 4]), number_cells, st.sampled_from([6, 7, 8, 9]),
+           number_cells, number_cells)
+    @example("1.5", 2, "\u0663", 6, "7", "0.5")
+    @example("1.5", 4, "80", 9, "\u00b3", "0.5")
+    @example("1.5", 2, "65536", 6, "-", "(empty)")
+    def test_both_parsers_follow_the_grammar(self, ts, port_index, port, count_index, count,
+                                             duration):
+        cells = csv_line(FLOW).split(",")
+        cells[0], cells[port_index], cells[count_index], cells[10] = ts, port, count, duration
+        names = ["ts", CSV_HEADER[port_index], CSV_HEADER[count_index], "duration"]
+        for parse, lines, read in ((parse_zeek_conn, zeek_text, str),
+                                   (parse_labeled_csv, csv_text, str.strip)):
+            want = helpers.oracle_flow_numbers(*map(read, (ts, port, count, duration)))
+            records, stats = parse(lines(cells))
+            assert stats.rows_rejected == (want is None)
+            if want is not None:
+                got = [getattr(records[0], name) for name in names]
+                assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 
 
 class TestParsersAgree:

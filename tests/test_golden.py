@@ -24,44 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CSV_TEXT, ZEEK_TEXT
+from helpers import CSV_REJECTS, CSV_TEXT, ZEEK_REJECTS, ZEEK_TEXT
 from flowlang.cli import main
-from flowlang.flows import CSV_HEADER
-
-# A labeled CSV and a Zeek log, each with one row per reject reason
-# (a bad IP, a leading-zero octet, no ts, a negative count, port 70000,
-# a nan duration, a short row), in that order after one good row, and one
-# IPv6 host written two ways, which must form one session.
-CSV_REJECTS = (
-    ",".join(CSV_HEADER) + "\n"
-    "100.0,10.0.0.1,1234,10.0.0.2,80,tcp,500,1500,5,5,0.3,normal\n"
-    "110.0,10.0.0.300,1234,10.0.0.2,80,tcp,1,1,1,1,0.1,normal\n"
-    "120.0,10.0.0.01,1234,10.0.0.2,80,tcp,1,1,1,1,0.1,normal\n"
-    "-,10.0.0.1,1234,10.0.0.2,80,tcp,1,1,1,1,0.1,normal\n"
-    "130.0,10.0.0.1,1234,10.0.0.2,80,tcp,-5,1,1,1,0.1,normal\n"
-    "140.0,10.0.0.1,70000,10.0.0.2,80,tcp,1,1,1,1,0.1,normal\n"
-    "150.0,10.0.0.1,1234,10.0.0.2,80,tcp,1,1,1,1,nan,normal\n"
-    "160.0,10.0.0.1,1234,10.0.0.2,80,tcp,1,1,1,1,0.1\n"
-    "170.0,2001:db8::1,4000,2001:db8::2,443,tcp,300,300,3,3,0.5,attack\n"
-    "180.0,2001:0db8:0:0::1,4001,2001:db8::2,443,udp,40,0,1,0,0.0,attack\n"
-    "200.0,10.0.0.2,80,10.0.0.1,5555,tcp,100,900,2,3,0.2,normal\n"
-)
-ZEEK_REJECTS = (
-    "#separator \\x09\n"
-    "#fields\tts\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tproto"
-    "\torig_bytes\tresp_bytes\torig_pkts\tresp_pkts\tduration\n"
-    "10.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t900\t400\t4\t4\t0.5\n"
-    "11.0\tnonsense\t1111\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\t0.1\n"
-    "12.0\t10.0.0.1\t1111\t010.0.0.9\t80\ttcp\t1\t1\t1\t1\t0.1\n"
-    "-\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\t0.1\n"
-    "13.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t1\t1\t-1\t1\t0.1\n"
-    "14.0\t10.0.0.1\t70000\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\t0.1\n"
-    "15.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\tnan\n"
-    "16.0\t10.0.0.1\t1111\t10.0.0.9\t80\ttcp\t1\t1\t1\t1\n"
-    "17.0\tfe80::1\t5353\t2001:db8::2\t53\tudp\t60\t90\t1\t1\t0.01\n"
-    "18.0\tFE80:0:0::0001\t5353\t2001:db8::2\t53\tudp\t70\t-\t1\t-\t-\n"
-    "20.0\t10.0.0.9\t80\t10.0.0.1\t2222\ttcp\t-\t100\t1\t1\t-\n"
-)
 
 # The quickstart's files and their sha256, in `sha256sum` format; the CI
 # installed-cli job checks the same file with `sha256sum -c`.

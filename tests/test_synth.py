@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from flowlang.flows import Label
 from flowlang.synth import (
+    MAX_DEMO_ALPHABET,
     GenConfig,
     MarkovSpec,
     SplitMix64,
@@ -392,6 +393,12 @@ class TestDemoSpecPair:
     def test_rejects_tiny_alphabet(self):
         with pytest.raises(ValueError):
             demo_spec_pair(3)
+
+    def test_rejects_alphabet_past_bound(self):
+        # Dense rows hold about 2 * m * m probabilities; past the bound the
+        # pair is refused before any row is built.
+        with pytest.raises(ValueError, match=f"4 to {MAX_DEMO_ALPHABET}, got"):
+            demo_spec_pair(MAX_DEMO_ALPHABET + 1)
 
 
 class TestCorpusToSequences:
