@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import Iterable, Sequence as Seq, TextIO
 
 from .errors import CorruptModelError, ModelVersionError
@@ -111,44 +111,42 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
     """Count the contexts a tree with this p_min can use, as runs of the
     sorted windows.
 
-    Every context counted starts some position's window of up to
-    max_len + 1 symbols, padded past its sequence's end. Each distinct
-    window is kept once, weighted by the number of positions it starts
-    at, and the windows are sorted, so the windows that begin with a
-    context form one contiguous run and the context's count is the sum
-    of that run's weights (Manber & Myers, Suffix arrays, 1993). A run
-    splits into its one-symbol extensions by the next symbol. Occurrence
-    counts are anti-monotone: a context occurs no more often than its
-    prefix, so only the runs of frequent contexts are split further
-    (Ron, Singer & Tishby, The Power of Amnesia, 1996). Memory grows
-    with the distinct windows, not with the corpus.
+    Every context counted starts some position's window: the next
+    max_len + 1 symbols, or fewer where its sequence ends, held as a
+    bytes string. Each distinct window is kept once, weighted by the
+    number of positions it starts at, and the windows are sorted, so the
+    windows that begin with a context form one contiguous run and the
+    context's count is the sum of that run's weights (Manber & Myers,
+    Suffix arrays, 1993). A run splits into its one-symbol extensions by
+    the next symbol, each found by bisection. Occurrence counts are
+    anti-monotone: a context occurs no more often than its prefix, so
+    only the runs of frequent contexts are split further (Ron, Singer &
+    Tishby, The Power of Amnesia, 1996). Memory grows with the distinct
+    windows, not with the corpus.
 
     Args:
         id_sequences: iterable of token-id sequences, ids >= 0, read
             once; no context spans the end of a sequence.
-        max_len: longest context length to extend; one more symbol is
-            counted so every frequent context's successor counts are in
-            the table (0 counts only unigrams).
-        p_min: frequency gate, as in PstParams; 0 keeps every context.
+        max_len: longest context length to extend, an int; one more
+            symbol is counted so every frequent context's successor
+            counts are in the table (0 counts only unigrams).
+        p_min: frequency gate, an int or float as in PstParams (stored
+            as a float); 0 keeps every context.
 
     Returns:
         ContextCounts with every unigram and every one-symbol extension of
         a frequent context of at most max_len symbols.
     """
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if not 0.0 <= p_min <= 1.0:
-        raise ValueError(f"p_min must be in [0, 1], got {p_min}")
-    counts = ContextCounts(max_len=max_len, p_min=p_min)
+    if type(max_len) is not int or max_len < 0:
+        raise ValueError(f"max_len must be an int >= 0, got {max_len!r}")
+    if type(p_min) not in (int, float) or not 0.0 <= p_min <= 1.0:
+        raise ValueError(f"p_min must be a number in [0, 1], got {p_min!r}")
+    counts = ContextCounts(max_len=max_len, p_min=float(p_min))
     starts = counts.starts
     occurrences = counts.occurrences
 
-    # The window at every position, padded past its sequence's end with
-    # -1, which is below every id and ends every context (zip stops at
-    # the shortest slice, so one window per position). A window is no
-    # wider than its sequence plus one pad, so a depth beyond the longest
-    # sequence builds nothing more.
-    windows: Counter = Counter()
+    seqs = []
+    top = 0
     for raw in id_sequences:
         ids = tuple(raw)
         counts.n_sequences += 1
@@ -157,29 +155,44 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
         lowest = min(ids)
         if lowest < 0:
             raise ValueError(f"token ids must be >= 0, got {lowest}")
+        top = max(top, max(ids))
         starts[ids[0]] = starts.get(ids[0], 0) + 1
         counts.total_positions += len(ids)
-        width = min(max_len, len(ids)) + 1
-        padded = ids + (-1,) * (width - 1)
-        windows.update(zip(*(padded[k:] for k in range(width))))
+        seqs.append(ids)
 
-    # ws[lo:hi] are the windows that begin with ctx; grouping them by
-    # their next symbol splits the run into ctx's extensions, the pad's
-    # run first.
+    # Each id as k big-endian bytes, the fewest that hold the largest, so
+    # bytes order is id order. The window at every position is the next
+    # max_len + 1 ids, cut at its sequence's end: a window that ends a
+    # context sorts before every window extending it.
+    k = (top.bit_length() + 7) // 8 or 1
+    width = (max_len + 1) * k
+    windows: Counter = Counter()
+    for ids in seqs:
+        b = bytes(ids) if k == 1 else b"".join([i.to_bytes(k, "big") for i in ids])
+        windows.update([b[p:p + width] for p in range(0, len(b), k)])
+    del seqs
+
+    # ws[lo:hi] are the windows that begin with ctx, less the one that ends
+    # there; the windows that begin with ext = ctx + (sym,) run up to the
+    # first that begins with ctx + (sym + 1,), or to hi for the largest id.
+    # A run's count is a difference of prefix sums of the weights.
     min_count = _min_count(p_min, counts.total_positions)
     ws = sorted(windows)
-    weights = list(map(windows.__getitem__, ws))
+    cum = [0, *accumulate(map(windows.__getitem__, ws))]
     del windows
     runs = [((), 0, len(ws))]
     while runs:
         ctx, lo, hi = runs.pop()
-        for sym, run in groupby(ws[lo:hi], key=itemgetter(len(ctx))):
-            end = lo + len(list(run))
-            if sym >= 0:
-                ext = ctx + (sym,)
-                occ = occurrences[ext] = sum(weights[lo:end])
-                if len(ctx) < max_len and occ >= min_count:
-                    runs.append((ext, lo, end))
+        at = len(ctx) * k
+        while lo < hi:
+            w = ws[lo]
+            sym = int.from_bytes(w[at:at + k], "big")
+            end = hi if sym == top else bisect_left(
+                ws, w[:at] + (sym + 1).to_bytes(k, "big"), lo, hi)
+            ext = ctx + (sym,)
+            occ = occurrences[ext] = cum[end] - cum[lo]
+            if len(ext) <= max_len and occ >= min_count:
+                runs.append((ext, lo + (len(w) == at + k), end))
             lo = end
     return counts
 

@@ -9,12 +9,14 @@ the corpus with that model pins the scorer on a second tree shape, with
 more and shallower contexts. A `train --threshold 0` pins the retention
 test where a symbol the context is never followed by can keep it. `eval`
 runs under both rankings, logloss and likelihood. A 16-symbol corpus
-pins the draw over rows twice as long as the quickstart's. `prepare`
-runs on the labeled CSV and the Zeek log the CLI tests use, and on the
-CSV under day and gap sessions too, and on a CSV and a Zeek log holding
-every reject reason, which pin the rows the parsers drop. Python
-3.10, 3.11, 3.12 and 3.13 write the same bytes, so a changed digest
-means the program's output changed, not the interpreter.
+pins the draw over rows twice as long as the quickstart's. A 300-symbol
+corpus, trained at the defaults and exhaustively, pins counting over ids
+that do not fit in one byte. `prepare` runs on the labeled CSV and the
+Zeek log the CLI tests use, and on the CSV under day and gap sessions
+too, and on a CSV and a Zeek log holding every reject reason, which pin
+the rows the parsers drop. Python 3.10, 3.11, 3.12 and 3.13 write the
+same bytes, so a changed digest means the program's output changed, not
+the interpreter.
 """
 
 from __future__ import annotations
@@ -73,6 +75,17 @@ def test_readme_quickstart_and_words(tmp_path, capsys):
     out = run("synth", "--out", tmp_path / "corpus-a16.txt", "--alphabet", 16,
               "--n", 300, "--seed", 9, "--no-timestamp")
     assert out == ["wrote 300 sequences (8 attack, 292 normal), alphabet 16"]
+    wide = tmp_path / "corpus-a300.txt"
+    out = run("synth", "--out", wide, "--alphabet", 300, "--n", 300, "--seed", 9,
+              "--no-timestamp")
+    assert out == ["wrote 300 sequences (8 attack, 292 normal), alphabet 300"]
+    out = run("train", "--in", wide, "--out", tmp_path / "model-a300.json", "--no-timestamp")
+    assert out == ["nodes: 622", "depth: 14", "vocabulary: 300 tokens",
+                   "trained on 300 sequences, 15073 tokens"]
+    out = run("train", "--in", wide, "--out", tmp_path / "model-a300-p0-d5.json",
+              "--p-min", 0, "--depth", 5, "--no-timestamp")
+    assert out == ["nodes: 992", "depth: 5", "vocabulary: 300 tokens",
+                   "trained on 300 sequences, 15073 tokens"]
     written = {str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
                if path.is_file()}
     assert written == DIGESTS.keys()

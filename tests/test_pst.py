@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -116,6 +116,20 @@ def repetitive_corpora(draw):
     return draw(st.permutations(seqs)), max_len
 
 
+WIDE_IDS = [0, 1, 254, 255, 256, 65535, 65536, 2**40]
+
+
+@st.composite
+def wide_corpora(draw):
+    """Corpora over a few ids drawn from WIDE_IDS, mixed with small ids,
+    so the largest id takes 1 to 6 bytes and is often all 0xff bytes.
+    Sequences repeat, so windows do too."""
+    ids = st.sampled_from(draw(st.lists(st.sampled_from(WIDE_IDS), min_size=1,
+                                        max_size=3, unique=True)))
+    seq = st.lists(ids | st.integers(0, 3), max_size=12)
+    return [s for s in draw(st.lists(seq, max_size=6)) for _ in range(draw(st.integers(1, 2)))]
+
+
 class TestCountContexts:
     def test_hand_table(self):
         counts = count_contexts([[A, A, B]], max_len=1)
@@ -158,6 +172,26 @@ class TestCountContexts:
         with pytest.raises(ValueError):
             count_contexts([[A, B]], max_len=1, p_min=p_min)
 
+    @pytest.mark.parametrize("max_len", [1.5, 2.0, True, False, "2", None,
+                                         IntSubclass(2)])
+    def test_rejects_max_len_not_an_int(self, max_len):
+        # 1.5 used to fail deep in the window code with a TypeError, and
+        # True came back as the table's max_len.
+        with pytest.raises(ValueError, match="max_len must be an int"):
+            count_contexts([[A, B]], max_len=max_len)
+
+    @pytest.mark.parametrize("p_min", [True, False, "0.1", None, Fraction(1, 10),
+                                       IntSubclass(0), FloatSubclass(0.1)])
+    def test_rejects_p_min_not_a_number(self, p_min):
+        # True used to be stored as the table's p_min.
+        with pytest.raises(ValueError, match="p_min must be a number"):
+            count_contexts([[A, B]], max_len=1, p_min=p_min)
+
+    @pytest.mark.parametrize("p_min", [0, 1])
+    def test_int_p_min_is_stored_as_float(self, p_min):
+        counts = count_contexts([[A, B]], max_len=1, p_min=p_min)
+        assert type(counts.p_min) is float and counts.p_min == p_min
+
     @settings(max_examples=300)
     @given(st.floats(0.0, 1.0) | st.sampled_from([0.0001, 0.1, 1 / 3, 5e-324, 1e-310]),
            st.integers(1, 10**9))
@@ -192,6 +226,27 @@ class TestCountContexts:
         # context; nothing else. Equal windows are counted once with their
         # multiplicity, so half the corpora repeat windows on purpose.
         seqs, max_len = corpus
+        for gate in (0.0, p_min):
+            expected = helpers.brute_gated_counts(seqs, max_len, gate)
+            assert count_contexts(seqs, max_len, gate) == expected
+            one_shot = (tuple(seq) for seq in seqs)
+            assert count_contexts(one_shot, max_len, gate) == expected
+
+    @settings(max_examples=250, deadline=None)
+    @given(wide_corpora(), st.integers(0, 5),
+           st.sampled_from([0.0001, 0.05, 0.1, 0.2, 0.5, 1.0]))
+    @example([[255, 0, 255, 255, 1, 255]], 3, 0.1)
+    @example([[65535, 256, 65535, 0, 65535, 65535]], 3, 0.1)
+    @example([[2**40, 65536, 2**40, 1, 2**40]], 2, 0.2)
+    def test_every_byte_width_matches_oracles(self, seqs, max_len, p_min):
+        # Ids that need 1, 2, 3 or 6 bytes each, with and without a largest
+        # id whose bytes are all 0xff, whose run ends its context's run.
+        total, n_seq, _, occurrences, _, starts = \
+            helpers.brute_context_stats(seqs, max_len + 1)
+        exhaustive = count_contexts(seqs, max_len)
+        assert (exhaustive.total_positions, exhaustive.n_sequences) == (total, n_seq)
+        assert exhaustive.starts == starts
+        assert exhaustive.occurrences == occurrences
         for gate in (0.0, p_min):
             expected = helpers.brute_gated_counts(seqs, max_len, gate)
             assert count_contexts(seqs, max_len, gate) == expected
