@@ -20,10 +20,11 @@ from typing import Iterable
 
 from .errors import DataError, FormatError
 from .evaluate import DEFAULT_PRECISION_NS, RANKINGS, ZERO_POLICIES, EvalReport, evaluate
-from .flows import Label, parse_labeled_csv, parse_zeek_conn, sniff_format
+from .flows import parse_labeled_csv, parse_zeek_conn, sniff_format
 from .language import (
     SCHEME_KINDS,
     WINDOWS,
+    Label,
     SessionPolicy,
     TokenScheme,
     Vocabulary,

@@ -15,7 +15,7 @@ from itertools import groupby
 from typing import Iterable
 
 from .errors import DataError
-from .flows import Label
+from .language import Label
 from .pst import Score
 
 ZERO_POLICIES = ("exclude", "most-anomalous")

@@ -7,7 +7,6 @@ skipped, never fatal. Only a missing or incomplete format header aborts.
 from __future__ import annotations
 
 import csv
-import enum
 import ipaddress
 import logging
 import math
@@ -18,6 +17,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import FormatError
+from .language import Label
 
 logger = logging.getLogger(__name__)
 
@@ -36,20 +36,6 @@ _IPV4 = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
 
 # Exactly the protocol names normalize_protocol keeps unchanged.
 _PROTOCOL = re.compile("[a-z0-9]+")
-
-
-class Label(enum.Enum):
-    NORMAL = "normal"
-    ATTACK = "attack"
-    UNLABELED = "unlabeled"
-
-    @classmethod
-    def parse(cls, text: str) -> "Label":
-        """Map label text to a Label; anything unrecognized is UNLABELED."""
-        return _LABELS.get(text.strip().lower(), cls.UNLABELED)
-
-
-_LABELS = {label.value: label for label in Label}
 
 
 def normalize_protocol(text: str) -> str:
@@ -163,14 +149,6 @@ def _canonical_ipv6(name: str, text) -> str:
         raise ValueError(f"separator in {name}: {text!r}")
     # Canonical text stays the object given, which the parsers share.
     return text if canonical == text else canonical
-
-
-def total_bytes(flow: FlowRecord) -> int:
-    return flow.orig_bytes + flow.resp_bytes
-
-
-def total_pkts(flow: FlowRecord) -> int:
-    return flow.orig_pkts + flow.resp_pkts
 
 
 @dataclass

@@ -7,16 +7,19 @@ Sequences plus a vocabulary round-trip through a plain text format.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 import re
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 from .errors import FormatError
-from .flows import _LABELS, FlowRecord, Label, total_bytes, total_pkts
+
+if TYPE_CHECKING:
+    from .flows import FlowRecord
 
 SCHEME_KINDS = ("proto-bytes", "proto-density")
 # Window session kinds and their sizes in seconds.
@@ -107,6 +110,20 @@ class Vocabulary:
         return isinstance(other, Vocabulary) and self._tokens == other._tokens
 
 
+class Label(enum.Enum):
+    NORMAL = "normal"
+    ATTACK = "attack"
+    UNLABELED = "unlabeled"
+
+    @classmethod
+    def parse(cls, text: str) -> "Label":
+        """Map label text to a Label; anything unrecognized is UNLABELED."""
+        return _LABELS.get(text.strip().lower(), cls.UNLABELED)
+
+
+_LABELS = {label.value: label for label in Label}
+
+
 @dataclass(frozen=True, slots=True)
 class Sequence:
     """One session: a non-empty tuple of token ids between two str endpoints;
@@ -162,9 +179,11 @@ def density_bucket(bytes_total: int, pkts_total: int, width: int) -> int | str:
 
 
 def tokenize(flow: FlowRecord, scheme: TokenScheme) -> str:
+    total_bytes = flow.orig_bytes + flow.resp_bytes
     if scheme.kind == "proto-bytes":
-        return f"{flow.protocol}_b{log2_bin(total_bytes(flow))}"
-    return f"{flow.protocol}_d{density_bucket(total_bytes(flow), total_pkts(flow), scheme.bucket_width)}"
+        return f"{flow.protocol}_b{log2_bin(total_bytes)}"
+    total_pkts = flow.orig_pkts + flow.resp_pkts
+    return f"{flow.protocol}_d{density_bucket(total_bytes, total_pkts, scheme.bucket_width)}"
 
 
 def _endpoint_pair(flow: FlowRecord) -> tuple[str, str]:

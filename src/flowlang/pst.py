@@ -125,7 +125,7 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
     windows, not with the corpus.
 
     Args:
-        id_sequences: iterable of token-id sequences, ids >= 0, read
+        id_sequences: iterable of token-id sequences, int ids >= 0, read
             once; no context spans the end of a sequence.
         max_len: longest context length to extend, an int; one more
             symbol is counted so every frequent context's successor
@@ -152,9 +152,9 @@ def count_contexts(id_sequences: Iterable[Seq[int]], max_len: int,
         counts.n_sequences += 1
         if not ids:
             continue
-        lowest = min(ids)
-        if lowest < 0:
-            raise ValueError(f"token ids must be >= 0, got {lowest}")
+        # True would count as id 1; a float or str fails in the window code.
+        if {*map(type, ids)} != {int} or min(ids) < 0:
+            raise ValueError(f"token ids must be >= 0 and of type int, got {ids!r}")
         top = max(top, max(ids))
         starts[ids[0]] = starts.get(ids[0], 0) + 1
         counts.total_positions += len(ids)
@@ -485,17 +485,21 @@ def score_sequence(pst: Pst, tokens: Iterable[str]) -> Score:
     preceding tokens, the node lookup_context finds. The tree's automaton
     tracks it: each symbol takes one edge step, after any fail steps,
     each of which undoes one earlier edge step, so scoring takes
-    amortized constant time per token. An out-of-vocabulary token, or
-    any zero smoothed probability, makes the whole sequence
-    zero-likelihood. The log2 probabilities are added in position order;
-    the reported likelihood is clamped to the smallest positive float
-    when exponentiation underflows.
+    amortized constant time per token. A token that is no str, such as
+    an id, raises ValueError; one out of the vocabulary, or any zero
+    smoothed probability, makes the whole sequence zero-likelihood. The
+    log2 probabilities are added in position order; the reported
+    likelihood is clamped to the smallest positive float when
+    exponentiation underflows.
     """
+    tokens = list(tokens)
     ids = list(map(pst.vocab.id_of, tokens))
     n = len(ids)
     if n == 0:
         return Score(1.0, 0.0)
     if None in ids:
+        if {*map(type, tokens)} != {str}:
+            raise ValueError(f"tokens must be str, got {tokens!r}")
         return _ZERO_SCORE
 
     row, edges, fail = pst.automaton

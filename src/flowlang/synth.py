@@ -15,8 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .flows import Label
-from .language import Sequence, Vocabulary
+from .language import Label, Sequence, Vocabulary
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

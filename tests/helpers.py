@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 
 from flowlang.errors import FormatError
-from flowlang.flows import CSV_HEADER, Label
-from flowlang.language import Sequence, Vocabulary, _sequence_line, _sort_key, read_sequences
+from flowlang.flows import CSV_HEADER
+from flowlang.language import Label, Sequence, Vocabulary, _sequence_line, _sort_key, read_sequences
 from flowlang.pst import ContextCounts, Pst, PstParams
 from flowlang.synth import MarkovSpec
 

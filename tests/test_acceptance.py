@@ -20,8 +20,9 @@ import pytest
 import _acceptance
 import helpers
 from flowlang.evaluate import ScoredExample, auc, evaluate, roc_curve
-from flowlang.flows import FlowRecord, Label
+from flowlang.flows import FlowRecord
 from flowlang.language import (
+    Label,
     SessionPolicy,
     TokenScheme,
     Vocabulary,

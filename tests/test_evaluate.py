@@ -21,7 +21,7 @@ from flowlang.evaluate import (
     precision_at_n,
     roc_curve,
 )
-from flowlang.flows import Label
+from flowlang.language import Label
 from flowlang.pst import Score
 
 

@@ -15,14 +15,12 @@ from flowlang.errors import FormatError
 from flowlang.flows import (
     CSV_HEADER,
     FlowRecord,
-    Label,
     normalize_protocol,
     parse_labeled_csv,
     parse_zeek_conn,
-    total_bytes,
-    total_pkts,
     write_labeled_csv,
 )
+from flowlang.language import Label
 
 ZEEK_HEADER = [
     "#separator \\x09\n",
@@ -229,13 +227,6 @@ class TestFlowRecord:
         st.lists(st.text(IP_CHARS, max_size=4), min_size=1, max_size=5).map(".".join)))
     def test_ip_check_is_exact_on_drawn_text(self, text):
         assert stored_ip(text) == canonical_ip(text)
-
-    def test_totals(self):
-        flow = FlowRecord(ts=0.0, src_ip="10.0.0.1", src_port=1, dst_ip="10.0.0.2",
-                          dst_port=2, protocol="tcp", orig_bytes=3, resp_bytes=4,
-                          orig_pkts=5, resp_pkts=6)
-        assert total_bytes(flow) == 7
-        assert total_pkts(flow) == 11
 
 
 class TestParseZeek:

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from helpers import brute_sessions, oracle_read_sequences
 from flowlang.cli import SCORES_HEADER, _parse_scores_csv
 from flowlang.errors import FormatError
-from flowlang.flows import FlowRecord, Label
+from flowlang.flows import FlowRecord
 from flowlang.language import (
     SCHEME_KINDS,
     SESSION_KINDS,
+    Label,
     Sequence,
     SessionPolicy,
     TokenScheme,
@@ -224,6 +225,9 @@ class TestBucketing:
         assert tokenize(g, TokenScheme()) == "udp_bz"
         h = flow(0.0, orig_bytes=1000, resp_bytes=0, orig_pkts=10, resp_pkts=0)
         assert tokenize(h, TokenScheme(kind="proto-density", bucket_width=10)) == "tcp_d10"
+        # Each count matters: without one of the four the bucket is d2, d2, d6 or d20.
+        k = flow(0.0, orig_bytes=1000, resp_bytes=1000, orig_pkts=10, resp_pkts=30)
+        assert tokenize(k, TokenScheme(kind="proto-density", bucket_width=10)) == "tcp_d5"
 
     @given(
         st.integers(min_value=0, max_value=2**30),

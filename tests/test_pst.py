@@ -167,6 +167,24 @@ class TestCountContexts:
         with pytest.raises(ValueError, match="must be >= 0"):
             count_contexts(seqs, max_len=2)
 
+    @pytest.mark.parametrize("seqs", [[[True, 0]], [[1.5, 2]], [[2**40, 1.0]],
+                                      [[A], [B, "0"]], [[A, IntSubclass(1)]]])
+    def test_rejects_id_not_an_int(self, seqs):
+        # True used to count as id 1; 1.5 failed in the window code with a
+        # TypeError, and 1.0 beside a 6-byte id with an AttributeError.
+        with pytest.raises(ValueError, match="of type int"):
+            count_contexts(seqs, max_len=2)
+
+    @given(st.lists(st.lists(st.integers(0, 2**20), max_size=5), min_size=1, max_size=4),
+           st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+                     st.binary(max_size=2), st.integers(0, 9).map(IntSubclass)),
+           st.integers(0, 3), st.data())
+    def test_wrong_type_id_never_gives_a_table(self, seqs, bad, max_len, data):
+        where = data.draw(st.integers(0, len(seqs) - 1))
+        seqs[where].insert(data.draw(st.integers(0, len(seqs[where]))), bad)
+        with pytest.raises(ValueError, match="of type int"):
+            count_contexts(seqs, max_len)
+
     @pytest.mark.parametrize("p_min", [-0.1, 1.5, math.nan])
     def test_rejects_p_min_outside_unit_interval(self, p_min):
         with pytest.raises(ValueError):
@@ -715,6 +733,24 @@ class TestScore:
         assert score.zero_likelihood
         assert score.likelihood == 0.0
         assert score.per_symbol_log_loss == math.inf
+
+    @pytest.mark.parametrize("tokens", [[0, 1], [b"a"], iter([A, B])],
+                             ids=["ids", "bytes", "iterator"])
+    def test_tokens_not_str_refused(self, tokens):
+        # Ids or bytes have no id in the vocabulary, so they used to give a
+        # plausible but wrong zero score.
+        pst = train([[A, B, A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
+        with pytest.raises(ValueError, match="must be str"):
+            score_sequence(pst, tokens)
+
+    @given(st.lists(st.sampled_from(["s0", "s1", "zz"]), max_size=4),
+           st.one_of(st.integers(), st.floats(), st.binary(max_size=2), st.none()),
+           st.data())
+    def test_wrong_type_token_never_gives_a_score(self, tokens, bad, data):
+        pst = train([[A, B, A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)
+        tokens.insert(data.draw(st.integers(0, len(tokens))), bad)
+        with pytest.raises(ValueError, match="must be str"):
+            score_sequence(pst, tokens)
 
     def test_unseen_transition_without_smoothing(self):
         pst = train([[A, B, A, B]], PstParams(depth=1, p_min=0, threshold=0, tau=1), 2)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from flowlang.flows import Label
+from flowlang.language import Label
 from flowlang.synth import (
     MAX_DEMO_ALPHABET,
     GenConfig,
